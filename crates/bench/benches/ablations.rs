@@ -12,11 +12,6 @@
 //!   nested Lemma 45 workload (the interpreter renames and materializes a
 //!   database per block fact per level; the compiled plan rebinds
 //!   parameter slots over one lazy view stack);
-//! * `plan_parallel_vs_sequential` — shard-parallel `answer_parallel`
-//!   (Lemma 45 block-fact fan-out across a scoped pool, always fanning
-//!   out) at widths 2 and 4 vs. the sequential compiled executor on the
-//!   same workload; wall-clock gains require actual CPUs, so on
-//!   single-core runners this group measures the sharding overhead;
 //! * `delta_reanswer_vs_full` — a single-fact delta on the outer Lemma 45
 //!   block (remove/reinsert one `N('c',∗)` fact, alternating), answered by
 //!   `IncrementalSolver::reanswer` (cached residuals for the untouched
@@ -108,30 +103,6 @@ fn bench_plan_compiled_vs_materialized(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("materialized", n), &db, |b, db| {
             b.iter(|| plan.answer(db))
         });
-    }
-    group.finish();
-}
-
-fn bench_plan_parallel_vs_sequential(c: &mut Criterion) {
-    let (s, _, compiled) = nested_l45_plan();
-    let mut group = c.benchmark_group("plan_parallel_vs_sequential");
-    group.sample_size(10);
-    for n in [64usize, 256] {
-        let db = nested_l45_instance(&s, n);
-        db.index(); // warm the base index outside the timed loops
-        let expected = compiled.answer(&db);
-        group.bench_with_input(BenchmarkId::new("sequential", n), &db, |b, db| {
-            b.iter(|| compiled.answer(db))
-        });
-        for threads in [2usize, 4] {
-            let policy = cqa_core::ParallelPolicy::with_threads(threads).fan_out_at(1);
-            assert_eq!(compiled.answer_parallel(&db, &policy), expected);
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel{threads}"), n),
-                &db,
-                |b, db| b.iter(|| compiled.answer_parallel(db, &policy)),
-            );
-        }
     }
     group.finish();
 }
@@ -284,7 +255,6 @@ criterion_group!(
     bench_guarded_vs_naive,
     bench_compiled_vs_interpreted,
     bench_plan_compiled_vs_materialized,
-    bench_plan_parallel_vs_sequential,
     bench_delta_reanswer_vs_full,
     bench_block_index,
     bench_columnar_vs_row,

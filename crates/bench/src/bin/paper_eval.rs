@@ -103,25 +103,6 @@ fn bench_eval_snapshot() {
         "  plan speedup at the largest size: {:.1}×",
         bench.plan_largest_size_speedup
     );
-    println!(
-        "shard-parallel plan execution: sequential vs answer_parallel ({} CPU(s) available)",
-        bench.threads_available
-    );
-    for row in &bench.plan_parallel_rows {
-        println!(
-            "  n={:<4} ({:>4} facts) × {} threads: sequential {:>10} — parallel {:>10} — {:.2}×",
-            row.n_blocks,
-            row.facts,
-            row.threads,
-            fmt_duration(std::time::Duration::from_nanos(row.sequential_ns as u64)),
-            fmt_duration(std::time::Duration::from_nanos(row.parallel_ns as u64)),
-            row.speedup,
-        );
-    }
-    println!(
-        "  parallel speedup at 4 threads, largest size: {:.2}×",
-        bench.plan_parallel_vs_sequential
-    );
     println!("unified solver: direct CompiledPlan::answer vs Solver::solve (facade dispatch)");
     for row in &bench.solver_routing_rows {
         println!(

@@ -24,22 +24,14 @@
 //! [`cqa_core::CompiledPlan`] (compiled once outside the loop, zero
 //! intermediate instances).
 //!
-//! A third workload measures **shard-parallel execution**: the same
-//! compiled plan evaluated sequentially vs through
-//! [`cqa_core::CompiledPlan::answer_parallel`] at 2 and 4 worker threads
-//! (Lemma 45 block facts sharded across a scoped pool; answers are
-//! asserted identical before timing). The recorded speedup is bounded by
-//! the CPUs actually available to the process — the snapshot carries
-//! `threads_available` so single-core runs are interpretable.
-//!
-//! A fourth workload measures the **unified-solver routing overhead**:
+//! A third workload measures the **unified-solver routing overhead**:
 //! [`cqa_core::Solver::solve`] with sequential options vs calling the
 //! compiled plan directly on the same problem — both sides execute the
 //! identical single-threaded plan, so the delta is pure facade cost
 //! (route dispatch, verdict and provenance construction); the acceptance
 //! target is < 5% at the largest size.
 //!
-//! A fifth workload measures **delta-certainty**: the same nested problem
+//! A fourth workload measures **delta-certainty**: the same nested problem
 //! under a single-fact delta on the outer block (remove one `N('c',∗)`
 //! fact, reinsert it, alternating), answered by
 //! [`cqa_core::IncrementalSolver::reanswer`] — which re-reads cached
@@ -48,7 +40,7 @@
 //! sides pay the identical mutation, so the ratio is pure re-answering
 //! work; the acceptance target is ≥ 10× at the largest size.
 //!
-//! A sixth workload measures the **Yannakakis semijoin evaluator** on the
+//! A fifth workload measures the **Yannakakis semijoin evaluator** on the
 //! acyclic residual join `{A(x,u), B(y,u)}` — two relations joined on
 //! their *non-key* second position, with disjoint value sets so the query
 //! is unsatisfiable. The backtracking search degenerates to an O(n²)
@@ -58,7 +50,7 @@
 //! independent of `CQA_EVALUATOR`; the acceptance target is ≥ 3× at the
 //! largest size.
 //!
-//! A seventh workload measures **serve-mode plan-cache amortization**: the
+//! A sixth workload measures **serve-mode plan-cache amortization**: the
 //! same nested Lemma 45 problem answered (a) the per-request way — parse
 //! the schema/query/fks text, classify, compile, parse the database,
 //! solve, all inside the loop — and (b) through
@@ -67,7 +59,7 @@
 //! one cached compiled [`Solver`]. The ratio is the serve mode's reason to
 //! exist; the acceptance target is ≥ 10× for repeated cached requests.
 //!
-//! An eighth workload measures the **emitted-artifact execution cost**:
+//! A seventh workload measures the **emitted-artifact execution cost**:
 //! the nested Lemma 45 problem lowered by `cqa-emit` to a self-contained
 //! stratified Datalog program (emit + parse outside the loop), executed
 //! by the vendored semi-naïve evaluator, vs the same verdict from the
@@ -78,13 +70,13 @@
 //! a regression (or an accidental dependence of exec cost on route
 //! internals) shows up in the trajectory.
 //!
-//! `paper-eval` runs all eight after the E1–E16 table and snapshots the
+//! `paper-eval` runs all seven after the E1–E16 table and snapshots the
 //! result to `BENCH_eval.json`, which CI uploads as an artifact — the
 //! perf-trajectory baseline for the evaluation core.
 
 use cqa_core::classify::Classification;
 use cqa_core::flatten::flatten;
-use cqa_core::{CompiledPlan, ExecOptions, ParallelPolicy, Problem, RewritePlan, Solver};
+use cqa_core::{CompiledPlan, ExecOptions, Problem, RewritePlan, Solver};
 use cqa_fo::{interp, CompiledFormula, Formula, Strategy};
 use cqa_model::parser::{parse_fks, parse_query, parse_schema};
 use cqa_model::{CompiledQuery, Instance, JoinStrategy, Schema};
@@ -121,24 +113,6 @@ pub struct PlanBenchRow {
     /// (compiled once outside the loop).
     pub compiled_ns: u128,
     /// `materialized / compiled`.
-    pub speedup: f64,
-}
-
-/// One measured (size, width) point of the shard-parallel benchmark.
-#[derive(Clone, Debug, Serialize)]
-pub struct PlanParBenchRow {
-    /// Number of facts in the outer Lemma 45 block.
-    pub n_blocks: usize,
-    /// Total facts in the instance.
-    pub facts: usize,
-    /// Worker threads of the parallel run.
-    pub threads: usize,
-    /// Best per-evaluation time of the sequential `CompiledPlan::answer`.
-    pub sequential_ns: u128,
-    /// Best per-evaluation time of `CompiledPlan::answer_parallel` at this
-    /// width (fan-out threshold 1, so the Lemma 45 shards always engage).
-    pub parallel_ns: u128,
-    /// `sequential / parallel`.
     pub speedup: f64,
 }
 
@@ -246,18 +220,9 @@ pub struct EvalBench {
     /// The plan-level speedup at the largest measured size (the
     /// compiled-plan acceptance metric).
     pub plan_largest_size_speedup: f64,
-    /// What was measured (shard-parallel workload).
-    pub plan_parallel_workload: String,
-    /// CPUs available to this process when the snapshot was taken — the
-    /// parallel rows are only meaningful relative to this (a single-core
-    /// runner cannot show wall-clock speedup, whatever the thread count).
+    /// CPUs available to this process when the snapshot was taken, so
+    /// timings from differently sized runners stay interpretable.
     pub threads_available: usize,
-    /// Per-(size, width) measurements of sequential vs shard-parallel
-    /// execution of the same compiled plan.
-    pub plan_parallel_rows: Vec<PlanParBenchRow>,
-    /// The parallel speedup at 4 threads on the largest measured size (the
-    /// shard-parallel acceptance metric; bounded by `threads_available`).
-    pub plan_parallel_vs_sequential: f64,
     /// What was measured (solver-routing-overhead workload).
     pub solver_routing_workload: String,
     /// Per-size measurements of direct plan calls vs the unified solver
@@ -475,44 +440,11 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
     }
     let plan_largest_size_speedup = plan_rows.last().map(|r| r.speedup).unwrap_or(0.0);
 
-    // Shard-parallel vs sequential execution of the same compiled plan on
-    // the same workload: widths 2 and 4, fan-out threshold 1 so the
-    // Lemma 45 block-fact shards engage at every size.
-    let mut plan_parallel_rows = Vec::new();
-    for &n in plan_sizes {
-        let db = nested_l45_instance(&ps, n);
-        db.index();
-        let expected = cplan.answer(&db);
-        let seq_t = measure(budget, || cplan.answer(&db));
-        for threads in [2usize, 4] {
-            let policy = ParallelPolicy::with_threads(threads).fan_out_at(1);
-            assert_eq!(
-                cplan.answer_parallel(&db, &policy),
-                expected,
-                "parallel and sequential executors disagree at n={n}, {threads} threads"
-            );
-            let par_t = measure(budget, || cplan.answer_parallel(&db, &policy));
-            plan_parallel_rows.push(PlanParBenchRow {
-                n_blocks: n,
-                facts: db.len(),
-                threads,
-                sequential_ns: seq_t.as_nanos(),
-                parallel_ns: par_t.as_nanos(),
-                speedup: seq_t.as_secs_f64() / par_t.as_secs_f64().max(f64::EPSILON),
-            });
-        }
-    }
-    let plan_parallel_vs_sequential = plan_parallel_rows
-        .iter()
-        .rfind(|r| r.threads == 4)
-        .map(|r| r.speedup)
-        .unwrap_or(0.0);
-
     // Unified-solver routing overhead: the same nested Lemma 45 problem
     // answered through `Solver::solve` (sequential options, so both sides
     // run the identical single-threaded compiled-plan execution) vs
     // calling the compiled plan directly. Measures pure facade cost:
-    // route dispatch, policy read, verdict + provenance construction.
+    // route dispatch, verdict + provenance construction.
     // Each size takes the median of `ROUTING_REPEATS` paired runs.
     let solver = Solver::builder(nested_l45_problem())
         .options(ExecOptions::sequential())
@@ -788,15 +720,9 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
             .to_string(),
         plan_rows,
         plan_largest_size_speedup,
-        plan_parallel_workload: "the same depth-2 nested Lemma 45 plan: sequential \
-                                 CompiledPlan::answer vs answer_parallel (block-fact shards, \
-                                 fan-out threshold 1) at 2 and 4 worker threads"
-            .to_string(),
         threads_available: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        plan_parallel_rows,
-        plan_parallel_vs_sequential,
         solver_routing_workload: "the same depth-2 nested Lemma 45 problem: direct \
                                   CompiledPlan::answer vs Solver::solve with sequential \
                                   ExecOptions (identical plan execution; the delta is route \
@@ -849,12 +775,9 @@ mod tests {
         assert!(report.rows.iter().all(|r| r.compiled_guarded_ns > 0));
         assert_eq!(report.plan_rows.len(), 2);
         assert!(report.plan_rows.iter().all(|r| r.compiled_ns > 0));
-        assert_eq!(report.plan_parallel_rows.len(), 4, "2 sizes × 2 widths");
-        assert!(report.plan_parallel_rows.iter().all(|r| r.parallel_ns > 0));
         assert!(report.threads_available >= 1);
         assert!(report.to_json().contains("largest_size_speedup"));
         assert!(report.to_json().contains("plan_largest_size_speedup"));
-        assert!(report.to_json().contains("plan_parallel_vs_sequential"));
         assert_eq!(report.solver_routing_rows.len(), 2);
         assert!(report.solver_routing_rows.iter().all(|r| r.solver_ns > 0));
         assert!(report.to_json().contains("solver_routing_overhead"));

@@ -1,17 +1,16 @@
 //! The certain-answer engine: the historical entry point for evaluating
 //! `CERTAINTY(q, FK)` on concrete databases when the problem is in FO.
 //!
-//! New code should route through [`crate::Solver`], which serves **every**
+//! Answering routes through [`crate::Solver`], which serves **every**
 //! query class (FO, polynomial-time, hard-with-budget) behind one typed
-//! surface; the engine's `answer*` methods survive as deprecated thin
-//! wrappers over the same plan machinery. The engine remains the home of
-//! the FO-only artifacts a rewriting consumer needs — the flattened
-//! [`Formula`], the compiled formula evaluator and the SQL translation.
+//! surface. The engine remains the home of the FO-only artifacts a
+//! rewriting consumer needs — the plan and its [`CompiledPlan`], the
+//! flattened [`Formula`], the compiled formula evaluator and the SQL
+//! translation.
 
 use crate::classify::{classify, Classification, NotFoReason};
 use crate::compiled_plan::{CompileError, CompiledPlan};
 use crate::flatten::{flatten, FlattenError};
-use crate::parallel::ParallelPolicy;
 use crate::pipeline::RewritePlan;
 use crate::problem::Problem;
 use cqa_fo::{CompiledFormula, Formula, Strategy};
@@ -21,14 +20,12 @@ use std::fmt;
 /// An engine wrapping a constructed rewriting plan.
 ///
 /// At construction the plan is also compiled into its view-backed
-/// executable form ([`CompiledPlan`]): [`CertainEngine::answer`] and
-/// [`CertainEngine::answer_many`] evaluate through lazy instance views with
-/// zero intermediate database materializations, falling back to the
-/// interpretive [`RewritePlan::answer`] only when compilation is not
+/// executable form ([`CompiledPlan`]), which evaluates through lazy
+/// instance views with zero intermediate database materializations;
+/// [`CertainEngine::compiled_plan`] is `None` only when compilation is not
 /// possible (see [`CertainEngine::compile_plan`]).
 ///
 /// ```
-/// # #![allow(deprecated)] // the answer surface is deprecated in favor of Solver
 /// use cqa_core::{CertainEngine, Problem};
 /// use cqa_model::parser::{parse_fks, parse_instance, parse_query, parse_schema};
 /// use std::sync::Arc;
@@ -39,7 +36,9 @@ use std::fmt;
 /// let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
 ///
 /// let db = parse_instance(&schema, "N(c,a) N(c,b) O(a) P(a) P(b)").unwrap();
-/// assert!(engine.answer(&db)); // the paper's §8 yes-instance
+/// let compiled = engine.compiled_plan().expect("the §8 plan compiles");
+/// assert!(compiled.answer(&db)); // the paper's §8 yes-instance
+/// assert!(engine.answer_materialized(&db));
 /// ```
 #[derive(Clone, Debug)]
 pub struct CertainEngine {
@@ -49,8 +48,8 @@ pub struct CertainEngine {
 
 impl CertainEngine {
     /// Classifies the problem; returns the engine when it is in FO, or the
-    /// Theorem 12 hardness reason otherwise. The plan is compiled once here
-    /// and reused by every subsequent `answer` call.
+    /// Theorem 12 hardness reason otherwise. The plan is compiled once
+    /// here.
     pub fn try_new(problem: Problem) -> Result<CertainEngine, NotFoReason> {
         match classify(&problem) {
             Classification::Fo(plan) => {
@@ -87,84 +86,10 @@ impl CertainEngine {
         &self.plan.problem
     }
 
-    /// Is `db` a yes-instance of `CERTAINTY(q, FK)`?
-    ///
-    /// Evaluates through the compiled plan when available (the common
-    /// case), otherwise through the interpretive pipeline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "route through cqa_core::Solver::solve — it serves every query class \
-                and reports provenance"
-    )]
-    pub fn answer(&self, db: &Instance) -> bool {
-        match &self.compiled {
-            Some(c) => c.answer(db),
-            None => self.plan.answer(db),
-        }
-    }
-
     /// Interpretive evaluation through the materializing pipeline — the
-    /// differential-testing oracle for [`CertainEngine::answer`].
+    /// differential-testing oracle for [`CertainEngine::compiled_plan`].
     pub fn answer_materialized(&self, db: &Instance) -> bool {
         self.plan.answer(db)
-    }
-
-    /// Answers a batch of databases over the one compiled plan, amortizing
-    /// the classification and compilation across the stream — the
-    /// server-loop surface: classify + compile once, then evaluate per
-    /// instance with only per-call slot arrays.
-    ///
-    /// Batches are sharded across threads under the default
-    /// [`ParallelPolicy`] (environment-driven width via `CQA_THREADS`,
-    /// resolved once per call; small batches run inline). Answers always
-    /// come back **in input order**, regardless of shard completion order.
-    #[deprecated(
-        since = "0.1.0",
-        note = "route through cqa_core::Solver::solve_many — a lazy, input-ordered, \
-                provenance-carrying iterator over the same sharding machinery"
-    )]
-    pub fn answer_many(&self, dbs: &[Instance]) -> Vec<bool> {
-        #[allow(deprecated)]
-        self.answer_many_with(dbs, &ParallelPolicy::default().resolve())
-    }
-
-    /// [`CertainEngine::answer_many`] under an explicit policy. Sharding
-    /// requires the compiled plan (per-shard evaluation is read-only over
-    /// `&self`); the interpretive fallback stays sequential. Each instance
-    /// is evaluated sequentially inside its shard — the parallelism is
-    /// across the batch, and output order is input order by construction
-    /// (contiguous shards, chunk-ordered join).
-    #[deprecated(
-        since = "0.1.0",
-        note = "route through cqa_core::Solver::solve_many with ExecOptions — typed \
-                options replace the raw policy parameter"
-    )]
-    pub fn answer_many_with(&self, dbs: &[Instance], policy: &ParallelPolicy) -> Vec<bool> {
-        let policy = policy.resolve();
-        if let Some(c) = &self.compiled {
-            if policy.should_parallelize(dbs.len()) {
-                return policy.pool().map(dbs, |db| c.answer(db));
-            }
-        }
-        #[allow(deprecated)]
-        dbs.iter().map(|db| self.answer(db)).collect()
-    }
-
-    /// Is `db` a yes-instance, with the compiled plan's internal loops
-    /// (filter steps, Lemma 45 fan-out) sharded across threads per
-    /// `policy`? Identical answers to [`CertainEngine::answer`]; falls back
-    /// to the sequential interpretive evaluator when the plan did not
-    /// compile.
-    #[deprecated(
-        since = "0.1.0",
-        note = "route through cqa_core::Solver with ExecOptions::threads — the solver \
-                shards plan internals under the same policy machinery"
-    )]
-    pub fn answer_parallel(&self, db: &Instance, policy: &ParallelPolicy) -> bool {
-        match &self.compiled {
-            Some(c) => c.answer_parallel(db, policy),
-            None => self.plan.answer(db),
-        }
     }
 
     /// The consistent first-order rewriting as one closed formula.
@@ -197,7 +122,6 @@ impl fmt::Display for CertainEngine {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // intentionally exercises the deprecated answer surface
 mod tests {
     use super::*;
     use cqa_model::parser::{parse_fks, parse_instance, parse_query, parse_schema};
@@ -211,9 +135,12 @@ mod tests {
         let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
 
         let yes = parse_instance(&s, "N(c,a) N(c,b) O(a) P(a) P(b)").unwrap();
-        assert!(engine.answer(&yes));
         let no = parse_instance(&s, "N(c,a) N(c,b) O(a) P(a)").unwrap();
-        assert!(!engine.answer(&no));
+        let plan = engine.compiled_plan().expect("the §8 plan compiles");
+        assert!(plan.answer(&yes));
+        assert!(!plan.answer(&no));
+        assert!(engine.answer_materialized(&yes));
+        assert!(!engine.answer_materialized(&no));
 
         let f = engine.formula().unwrap();
         assert!(f.is_closed());

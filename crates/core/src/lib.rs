@@ -17,12 +17,10 @@
 //! * [`classify::classify`] — Theorem 12: FO (with a constructed
 //!   [`pipeline::RewritePlan`]) vs. L-hard / NL-hard with witnesses;
 //! * [`engine::CertainEngine`] — the FO-only predecessor of the solver;
-//!   still the home of the flattened formula and SQL artifacts, its
-//!   `answer*` methods deprecated thin wrappers;
+//!   still the home of the flattened formula and SQL artifacts;
 //! * [`compiled_plan::CompiledPlan`] — the plan compiled once into a lazy,
-//!   view-backed executor (zero intermediate database materializations;
-//!   the solver's FO hot path), with shard-parallel execution of its block
-//!   loops under a [`parallel::ParallelPolicy`];
+//!   view-backed sequential executor (zero intermediate database
+//!   materializations; the solver's FO hot path);
 //! * [`flatten`] — folds a plan into one closed first-order sentence.
 //!
 //! Internal machinery, each mapped to its definition in the paper:
@@ -48,7 +46,6 @@ pub mod flatten;
 pub mod hardness;
 pub mod interference;
 pub mod obedience;
-pub mod parallel;
 pub mod pipeline;
 pub mod problem;
 pub mod solver;
@@ -62,7 +59,6 @@ pub use engine::CertainEngine;
 pub use hardness::{lemma14_instance, lemma15_reduction};
 pub use interference::{block_interference, InterferenceWitness};
 pub use obedience::{atom_obedient, is_obedient_set, qfk_atoms};
-pub use parallel::ParallelPolicy;
 pub use pipeline::RewritePlan;
 pub use problem::Problem;
 pub use solver::{

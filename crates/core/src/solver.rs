@@ -23,9 +23,10 @@
 //! All answering goes through [`Solver::solve`] (one typed [`Verdict`]
 //! carrying provenance) and [`Solver::solve_many`] (a lazy, input-ordered
 //! iterator that internally batches and — on the FO and poly-time routes —
-//! shards each chunk through the PR 4 thread-pool machinery; the fallback
-//! route stays sequential, since per-instance oracle search dominates and
-//! its verdicts carry per-instance diagnostics).
+//! shards each chunk across a scoped thread pool; the fallback route stays
+//! sequential, since per-instance oracle search dominates and its verdicts
+//! carry per-instance diagnostics). A single solve always runs on the
+//! calling thread.
 //!
 //! ```
 //! use cqa_core::{BackendKind, Problem, Solver};
@@ -56,7 +57,6 @@
 use crate::classify::{classify, Classification, NotFoReason};
 use crate::compiled_plan::{CompiledPlan, ResidualCache};
 use crate::flatten::{flatten, FlattenError};
-use crate::parallel::ParallelPolicy;
 use crate::pipeline::RewritePlan;
 use crate::problem::Problem;
 use crate::verdict::{BackendKind, Certainty, DeltaOutcome, Provenance, Verdict};
@@ -66,6 +66,7 @@ use cqa_model::schema::RelName;
 use cqa_model::{Cst, Delta, Instance, JoinStrategy, ModelError};
 use cqa_repair::{CertaintyOracle, OracleOutcome, SearchLimits};
 use cqa_solvers::backend::{Backend, DualHornBackend, ReachabilityBackend};
+use rayon_lite::ThreadPool;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -95,10 +96,15 @@ pub enum FallbackBudget {
     Allow(SearchLimits),
 }
 
+/// Minimum batch size — instances in [`Solver::solve_many`], candidate
+/// tuples in [`crate::certain_answers_with`] — before a batch is sharded
+/// across threads; smaller batches run inline.
+const MIN_PARALLEL_UNITS: usize = 16;
+
 /// Typed execution options for the unified solver — one struct folding the
-/// knobs that used to be scattered across [`ParallelPolicy`] parameters,
-/// the `CQA_THREADS` environment variable, the compiled-vs-materialized
-/// engine split and the oracle's search limits.
+/// batch-sharding width (the `CQA_THREADS` environment variable), the
+/// compiled-vs-materialized engine split, the join strategy and the
+/// oracle's search limits.
 ///
 /// `CQA_THREADS` and `CQA_EVALUATOR` are consulted exactly **once**, in
 /// [`ExecOptions::default`]; every later use of the options reads the
@@ -114,21 +120,18 @@ pub enum FallbackBudget {
 ///     fallback: FallbackBudget::Allow(SearchLimits::budgeted(10_000)),
 ///     ..ExecOptions::default()
 /// };
-/// // The resolved policy clamps the requested width to the machine's
+/// // The sharding width clamps the requested threads to the machine's
 /// // availability, so it never exceeds the stored cap.
 /// assert_eq!(opts.threads, 4);
-/// assert!(opts.policy().threads() <= 4);
+/// assert!(opts.width() <= 4);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker-thread width for sharded execution (batch sharding in
-    /// [`Solver::solve_many`], block-loop sharding inside the compiled
-    /// plan). `1` disables fan-out. Resolved from `CQA_THREADS` (else
-    /// available parallelism) once at construction — never `0`.
+    /// Worker-thread width for batch sharding in [`Solver::solve_many`]
+    /// and [`crate::certain_answers_with`]; `1` disables it. Resolved from
+    /// `CQA_THREADS` (else available parallelism) once at construction —
+    /// never `0`.
     pub threads: usize,
-    /// Minimum work units (instances in a batch, blocks in a filter loop)
-    /// before fanning out; below it the sequential path runs.
-    pub min_parallel_units: usize,
     /// Which FO evaluator to execute on [`Route::FoPlan`].
     pub evaluator: Evaluator,
     /// How the compiled FO evaluator executes acyclic residual
@@ -146,8 +149,7 @@ impl Default for ExecOptions {
     /// one place `CQA_THREADS` is read.
     fn default() -> ExecOptions {
         ExecOptions {
-            threads: ParallelPolicy::default().threads(),
-            min_parallel_units: ParallelPolicy::default().min_units,
+            threads: rayon_lite::current_num_threads(),
             evaluator: Evaluator::Compiled,
             join: JoinStrategy::from_env(),
             fallback: FallbackBudget::Deny,
@@ -156,22 +158,21 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Fully sequential execution: one thread, never fan out. (Also what
+    /// Fully sequential execution: batches never fan out. (Also what
     /// benchmark baselines use, so facade overhead is measured against the
     /// same single-threaded plan execution.)
     pub fn sequential() -> ExecOptions {
         ExecOptions {
             threads: 1,
-            min_parallel_units: usize::MAX,
             ..ExecOptions::default()
         }
     }
 
     /// Replaces the worker width (builder style). `0` re-resolves from the
-    /// environment, mirroring [`ParallelPolicy::with_threads`].
+    /// environment.
     pub fn with_threads(mut self, threads: usize) -> ExecOptions {
         self.threads = match threads {
-            0 => ParallelPolicy::default().threads(),
+            0 => rayon_lite::current_num_threads(),
             n => n,
         };
         self
@@ -195,13 +196,20 @@ impl ExecOptions {
         self.with_fallback(SearchLimits::default())
     }
 
-    /// The resolved sharding policy: `max_threads` is pinned (non-zero),
-    /// so consumers never re-read the environment.
-    pub fn policy(&self) -> ParallelPolicy {
-        ParallelPolicy {
-            min_units: self.min_parallel_units,
-            max_threads: self.threads.max(1),
-        }
+    /// The width batch sharding runs at: [`ExecOptions::threads`] clamped
+    /// to the available parallelism ([`rayon_lite::current_num_threads`]:
+    /// `CQA_THREADS` when set, else the machine's cores). Sharding wider
+    /// than the machine is pure spawn overhead for identical answers.
+    pub fn width(&self) -> usize {
+        self.threads.min(rayon_lite::current_num_threads()).max(1)
+    }
+
+    /// The pool a batch of `units` items shards across, or `None` when it
+    /// should run inline (width 1, or fewer than [`MIN_PARALLEL_UNITS`]
+    /// items).
+    pub(crate) fn batch_pool(&self, units: usize) -> Option<ThreadPool> {
+        let width = self.width();
+        (width > 1 && units >= MIN_PARALLEL_UNITS).then(|| ThreadPool::new(width))
     }
 }
 
@@ -625,8 +633,8 @@ impl Solver {
     /// [`Solver::solve`] under **caller-supplied execution options** — the
     /// per-request surface a long-lived service needs: one cached, shared
     /// solver (classification and plan compilation amortized across every
-    /// request) while each request pins its own sharding width and, on the
-    /// fallback route, its own oracle budget. The *compiled* choices —
+    /// request) while each request pins its own oracle budget on the
+    /// fallback route. The *compiled* choices —
     /// evaluator and join strategy — are baked into the route at
     /// [`SolverBuilder::build`] time and are **not** re-read from
     /// `options`; a caller that needs a differently compiled route builds
@@ -702,8 +710,8 @@ impl Solver {
     /// verdict `i` always corresponds to `dbs[i]`, whatever the shard
     /// completion order. Internally the iterator pulls chunks of the input
     /// and, on the FO-compiled and poly-time routes, shards each chunk
-    /// across the scoped thread pool (the PR 4 batching machinery) under
-    /// [`ExecOptions::threads`] — the fallback route stays sequential so
+    /// across a scoped thread pool of [`ExecOptions::width`] workers — the
+    /// fallback route stays sequential so
     /// each verdict keeps its per-instance diagnostics. Chunk evaluation
     /// happens on demand, so an early `take(k)` never pays for the tail of
     /// the batch.
@@ -740,9 +748,8 @@ impl Solver {
     }
 
     /// One dispatch under `options`: certainty, backend tag, optional
-    /// diagnostics. The sharding policy and (on the fallback route) the
-    /// oracle budget come from `options`; everything compiled at build
-    /// time comes from the route.
+    /// diagnostics. The oracle budget (fallback route) comes from
+    /// `options`; everything compiled at build time comes from the route.
     fn decide_with(
         &self,
         db: &Instance,
@@ -750,15 +757,11 @@ impl Solver {
     ) -> (Certainty, BackendKind, Option<String>) {
         match &self.route {
             Route::FoPlan(r) => match &r.compiled {
-                Some(c) => {
-                    let policy = options.policy();
-                    let ans = if policy.threads() > 1 {
-                        c.answer_parallel(db, &policy)
-                    } else {
-                        c.answer(db)
-                    };
-                    (Certainty::from_bool(ans), BackendKind::CompiledPlan, None)
-                }
+                Some(c) => (
+                    Certainty::from_bool(c.answer(db)),
+                    BackendKind::CompiledPlan,
+                    None,
+                ),
                 None => (
                     Certainty::from_bool(r.plan.answer(db)),
                     BackendKind::MaterializedPlan,
@@ -834,8 +837,8 @@ impl SolveMany<'_> {
     /// Pulls the next chunk of the input and evaluates it, sharding across
     /// the pool when the route and options allow.
     fn refill(&mut self) {
-        let policy = self.solver.options.policy();
-        let width = policy.threads();
+        let options = &self.solver.options;
+        let width = options.width();
         // Only routes that can shard pull wide chunks; the fallback route
         // (and an uncompiled FO plan) stays at width 1 so `take(k)` never
         // pays for oracle searches beyond the pulled prefix.
@@ -858,17 +861,17 @@ impl SolveMany<'_> {
         // The fallback route never shards: its per-instance oracle search
         // dominates any spawn saving and its verdicts carry per-instance
         // diagnostics (inconclusive reasons, witnesses).
-        if policy.should_parallelize(chunk.len()) {
+        if let Some(pool) = options.batch_pool(chunk.len()) {
             let start = Instant::now();
             let sharded: Option<(Vec<bool>, BackendKind)> = match &self.solver.route {
                 Route::FoPlan(r) => r.compiled.as_ref().map(|c| {
                     (
-                        policy.pool().map(chunk, |db| c.answer(db)),
+                        pool.map(chunk, |db| c.answer(db)),
                         BackendKind::CompiledPlan,
                     )
                 }),
                 Route::PolyTime(r) => Some((
-                    policy.pool().map(chunk, |db| r.backend.certain(db)),
+                    pool.map(chunk, |db| r.backend.certain(db)),
                     r.kind,
                 )),
                 Route::Fallback(_) => None,
@@ -1300,13 +1303,11 @@ mod tests {
     fn solve_many_shards_the_poly_route_in_input_order() {
         let s = Arc::new(parse_schema("E[2,1] V[1,1]").unwrap());
         let solver = Solver::builder(problem(&s, "E(x,x), V(x)", "E[2] -> V"))
-            .options(ExecOptions {
-                min_parallel_units: 1,
-                ..ExecOptions::default().with_threads(8)
-            })
+            .options(ExecOptions::default().with_threads(8))
             .build()
             .unwrap();
-        // Instance i certain iff i is even (odd ones get an escape edge).
+        // Instance i certain iff i is even (odd ones get an escape edge);
+        // 29 instances clear the 16-instance sharding floor.
         let dbs: Vec<Instance> = (0..29)
             .map(|i| {
                 let text = if i % 2 == 0 {
@@ -1325,8 +1326,8 @@ mod tests {
         }
         // Wide chunks fanned out: batch provenance reflects the shard.
         // On a single-core machine the clamp resolves the width to 1 and
-        // the sequential path (batch 1) is the *correct* behavior — that
-        // is satellite fix for the 0.83× sharding slowdown.
+        // the sequential path (batch 1) is the *correct* behavior:
+        // sharding at width 1 is pure spawn overhead.
         if rayon_lite::current_num_threads() > 1 {
             assert!(verdicts[0].provenance.batch > 1, "poly route must shard");
         } else {
@@ -1341,10 +1342,7 @@ mod tests {
         // searches past the pulled prefix.
         let s = Arc::new(parse_schema("N[3,1] O[2,1]").unwrap());
         let solver = Solver::builder(problem(&s, "N(x,'c',y), O(y,w)", "N[3] -> O"))
-            .options(ExecOptions {
-                min_parallel_units: 1,
-                ..ExecOptions::default().with_threads(8).allow_fallback()
-            })
+            .options(ExecOptions::default().with_threads(8).allow_fallback())
             .build()
             .unwrap();
         let dbs: Vec<Instance> = (0..5)
@@ -1405,14 +1403,19 @@ mod tests {
         let opts = ExecOptions::default();
         assert!(opts.threads >= 1, "threads resolved, never 0");
         let seq = ExecOptions::sequential();
-        assert_eq!(seq.policy().threads(), 1);
-        assert!(!seq.policy().should_parallelize(usize::MAX - 1));
+        assert_eq!(seq.width(), 1);
+        assert!(seq.batch_pool(usize::MAX).is_none());
         let wide = ExecOptions::sequential().with_threads(6);
-        // The policy clamps to availability, so the resolved width is the
-        // requested 6 only on machines that wide.
+        // The width clamps to availability, so it is the requested 6 only
+        // on machines that wide.
+        let available = rayon_lite::current_num_threads();
+        assert_eq!(wide.width(), 6.min(available));
+        assert!(ExecOptions::default().with_threads(usize::MAX).width() <= available);
+        // Batches below the floor never fan out, whatever the width.
+        assert!(wide.batch_pool(MIN_PARALLEL_UNITS - 1).is_none());
         assert_eq!(
-            wide.policy().threads(),
-            6.min(rayon_lite::current_num_threads())
+            wide.batch_pool(MIN_PARALLEL_UNITS).map(|p| p.threads()),
+            (available > 1).then_some(6.min(available))
         );
     }
 
@@ -1640,7 +1643,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_pins_the_request_policy_not_the_built_one() {
+    fn solve_with_pins_the_request_options_not_the_built_ones() {
         let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
         let solver = Solver::builder(problem(&s, "N('c',y), O(y), P(y)", "N[2] -> O"))
             .options(ExecOptions::default().with_threads(8))

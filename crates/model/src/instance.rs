@@ -461,8 +461,7 @@ impl Instance {
 /// Row order in `all` (and id order within a block's index list) is
 /// **arbitrary**: inserts push at the end and removes swap-remove, so
 /// incremental maintenance is O(1) per fact. Consumers that need a
-/// deterministic order (e.g. [`crate::view::InstanceView::partition`]) read
-/// the key-sorted columnar projection instead.
+/// deterministic order read the key-sorted columnar projection instead.
 #[derive(Clone, Debug)]
 pub(crate) struct RelIndex {
     pub(crate) key_len: usize,

@@ -21,7 +21,10 @@
 //! request texts (the overwhelmingly common case for a service fed by one
 //! client template) skip re-parsing entirely — this is what makes repeated
 //! cached requests an order of magnitude cheaper than per-request
-//! `Solver::new`.
+//! `Solver::new`. The alias map is bounded too: past `ALIASES_PER_PLAN`
+//! aliases per plan slot it is cleared wholesale, so a client sending
+//! endless textual variants of one hot problem pays re-parses, never
+//! unbounded server memory.
 
 use cqa_core::solver::{Evaluator, ExecOptions, FallbackBudget, Solver};
 use cqa_core::Problem;
@@ -86,6 +89,11 @@ impl Lookup {
     }
 }
 
+/// Raw-text aliases kept per plan slot of capacity before the alias map is
+/// cleared. Aliases are only a parse-skipping fast path — the canonical map
+/// still answers every hit — so clearing them costs re-parses, not misses.
+const ALIASES_PER_PLAN: usize = 8;
+
 struct Entry {
     plan: Arc<CachedPlan>,
     /// Logical clock of the last touch, for LRU eviction.
@@ -100,6 +108,17 @@ struct Inner {
     aliases: HashMap<RawKey, String>,
     clock: u64,
     evictions: u64,
+}
+
+impl Inner {
+    /// Records `key` as an alias of `canonical`, first clearing every alias
+    /// when the map already holds `cap`.
+    fn alias(&mut self, key: &RawKey, canonical: String, cap: usize) {
+        if self.aliases.len() >= cap {
+            self.aliases.clear();
+        }
+        self.aliases.insert(key.clone(), canonical);
+    }
 }
 
 /// Bounded LRU cache of compiled plans keyed by canonicalized
@@ -137,6 +156,10 @@ impl PlanCache {
     /// Total LRU evictions so far.
     pub fn evictions(&self) -> u64 {
         self.inner.lock().evictions
+    }
+
+    fn alias_cap(&self) -> usize {
+        self.capacity * ALIASES_PER_PLAN
     }
 
     /// The plan for `key`, compiling it on a miss.
@@ -181,7 +204,7 @@ impl PlanCache {
         if let Some(entry) = inner.plans.get_mut(&canonical) {
             entry.stamp = now;
             let plan = Arc::clone(&entry.plan);
-            inner.aliases.insert(key.clone(), canonical);
+            inner.alias(key, canonical, self.alias_cap());
             return Ok((plan, Lookup::Hit));
         }
 
@@ -210,7 +233,7 @@ impl PlanCache {
                 stamp: now,
             },
         );
-        inner.aliases.insert(key.clone(), canonical);
+        inner.alias(key, canonical, self.alias_cap());
         Ok((plan, Lookup::Miss))
     }
 }
@@ -312,6 +335,29 @@ mod tests {
         assert_eq!(l1, Lookup::Hit);
         let (_, l2) = cache.get_or_build(&k2, &opts).unwrap();
         assert_eq!(l2, Lookup::Miss);
+    }
+
+    #[test]
+    fn whitespace_variants_hit_without_growing_aliases_past_the_cap() {
+        // Regression: every new raw spelling of a cached problem used to
+        // add an alias that only eviction of its plan could drop, so a
+        // client could grow a hot plan's aliases without bound.
+        let cache = PlanCache::new(4);
+        let opts = ExecOptions::sequential();
+        let cap = 4 * ALIASES_PER_PLAN;
+        for i in 0..10_000 {
+            let pad = |n: usize| " ".repeat(n + 1);
+            let schema = format!("N[2,1]{}O[1,1]{}P[1,1]", pad(i % 100), pad(i / 100));
+            let (_, lookup) = cache
+                .get_or_build(&key(&schema, JoinStrategy::Auto), &opts)
+                .unwrap();
+            let expected = if i == 0 { Lookup::Miss } else { Lookup::Hit };
+            assert_eq!(lookup, expected, "variant {i}");
+            let aliases = cache.inner.lock().aliases.len();
+            assert!(aliases <= cap, "variant {i}: {aliases} aliases");
+        }
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]

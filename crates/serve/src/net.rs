@@ -4,7 +4,7 @@
 //!
 //! The accept loop hands each connection to a scoped worker thread,
 //! bounded by the vendored `rayon_lite` width resolution (the same
-//! `CQA_THREADS`-aware clamp the solver's fan-out uses); when every
+//! `CQA_THREADS`-aware clamp the solver's batch sharding uses); when every
 //! worker slot is busy the connection is served inline on the accept
 //! thread — natural backpressure, never an unbounded queue. After a
 //! `shutdown` request the loop drains in-flight connections, then dumps

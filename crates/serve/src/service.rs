@@ -7,7 +7,7 @@
 //! | op | fields | reply |
 //! |----|--------|-------|
 //! | `ping` | — | `{"ok":true,"pong":true}` |
-//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `materialized`, `threads`, `budget` (optional) | verdict + provenance (below) |
+//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `materialized`, `budget` (optional) | verdict + provenance (below) |
 //! | `emit` | `schema`, `query`, `db` (required); `fks`, `format` (`"datalog"` \| `"sql"`, default `"datalog"`) (optional) | `{"ok":true,"format":…,"route":…,"goal":…,"artifact":…}` — the self-contained artifact text (see `cqa-emit`); reuses the same plan cache as `solve` |
 //! | `metrics` | — | `{"ok":true,"metrics":{…}}` (see [`crate::MetricsRegistry::snapshot`]) |
 //! | `shutdown` | — | `{"ok":true,"shutdown":true}`; the accept loop then drains and exits |
@@ -24,7 +24,8 @@
 //!
 //! Errors are `{"ok":false,"error":"…"}`; admission-control refusals add
 //! `"rejected":true` so clients can distinguish "resize your request"
-//! from "your request is malformed".
+//! from "your request is malformed". Unknown request fields are ignored,
+//! so clients written against an older protocol keep working.
 //!
 //! ## Per-request options
 //!
@@ -33,8 +34,10 @@
 //! the process environment again. The **compiled** choices (`evaluator`,
 //! `materialized`) are part of the plan-cache key, so a client pinning an
 //! evaluator can never be handed a plan compiled for a different one; the
-//! **runtime** choices (`threads`, `budget`) are passed to
+//! **runtime** choice (`budget`) is passed to
 //! [`cqa_core::Solver::solve_with`] per call on the shared cached solver.
+//! A solve runs on its connection's worker thread; parallelism comes from
+//! serving connections concurrently.
 //!
 //! ## Admission control
 //!
@@ -219,13 +222,6 @@ impl Service {
             if m {
                 options.evaluator = Evaluator::Materialized;
             }
-        }
-        if let Some(t) = request.get("threads") {
-            let t = t
-                .as_u64()
-                .filter(|t| *t >= 1)
-                .ok_or_else(|| SolveRefusal::Error("threads must be a positive integer".to_string()))?;
-            options = options.with_threads(t as usize);
         }
         if let Some(b) = request.get("budget") {
             let b = b
@@ -509,6 +505,18 @@ mod tests {
         .unwrap();
         assert_eq!(mat.get("evaluator").and_then(Value::as_str), Some("materialized"));
         assert_eq!(mat.get("backend").and_then(Value::as_str), Some("materialized plan"));
+    }
+
+    #[test]
+    fn legacy_threads_field_is_ignored() {
+        // Older clients sent a per-request "threads" width; the field no
+        // longer means anything and must not turn a solve into an error.
+        let s = service();
+        let reply =
+            serde_json::from_str(&s.handle_line(&solve_line("N(c,a) O(a) P(a)", r#","threads":4"#)))
+                .unwrap();
+        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{reply:?}");
+        assert_eq!(reply.get("certainty").and_then(Value::as_str), Some("certain"));
     }
 
     #[test]

@@ -26,16 +26,15 @@
 //! only route is the budgeted oracle have no polynomial-size artifact and
 //! exit 4. Every command accepts `--problem file.problem` in place of the
 //! `--schema`/`--query`/`--fks` flags; a `db:` line in the file supplies
-//! an inline database (`--db` overrides it).
+//! an inline database (`--db` or `--db-text` overrides it).
 //!
 //! `solve` routes the problem to its best backend (compiled FO plan,
 //! dual-Horn / reachability poly-time solver, or — with
 //! `--fallback-budget N` — the budgeted exhaustive oracle) and prints the
-//! verdict with provenance. `--threads N` pins the sharding width
-//! (otherwise `CQA_THREADS`, resolved once); `--materialized` forces the
-//! interpretive FO evaluator; `--evaluator auto|backtracking|semijoin`
-//! pins how acyclic residual conjunctions execute (otherwise
-//! `CQA_EVALUATOR`, resolved once).
+//! verdict with provenance. `--materialized` forces the interpretive FO
+//! evaluator; `--evaluator auto|backtracking|semijoin` pins how acyclic
+//! residual conjunctions execute (otherwise `CQA_EVALUATOR`, resolved
+//! once).
 //!
 //! `serve` runs the persistent solver service (`cqa_serve`): a
 //! line-delimited JSON protocol on `--socket PATH` (Unix domain) or
@@ -44,13 +43,14 @@
 //! a metrics dump on shutdown (`--metrics-out PATH`). Unlike every other
 //! command, `serve` validates `CQA_THREADS`/`CQA_EVALUATOR` **strictly**
 //! at startup and refuses to start on unparsable values — a long-lived
-//! server must not silently degrade to defaults. `request` is the
-//! matching one-shot client: `--op ping|solve|metrics|shutdown` (with the
-//! usual problem flags plus `--db-text` for an inline database), or a raw
-//! protocol line via `--line JSON`.
+//! server must not silently degrade to defaults; `CQA_THREADS` sets its
+//! worker slots. `request` is the matching one-shot client:
+//! `--op ping|solve|emit|metrics|shutdown` (with the usual problem flags),
+//! or a raw protocol line via `--line JSON`.
 //!
 //! Databases are text files of facts (`R(a,1); S(1,x)` — see
-//! `cqa_model::parser`).
+//! `cqa_model::parser`). Every command that reads a database also takes it
+//! inline: `--db-text "R(a,1) S(1,x)"` in place of `--db FILE`.
 //!
 //! ## Exit codes
 //!
@@ -80,7 +80,6 @@ struct Args {
     out: Option<String>,
     execute: bool,
     fallback_budget: Option<u64>,
-    threads: Option<usize>,
     evaluator: Option<JoinStrategy>,
     materialized: bool,
     // serve / request flags
@@ -110,7 +109,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         execute: false,
         fallback_budget: None,
-        threads: None,
         evaluator: None,
         materialized: false,
         socket: None,
@@ -148,9 +146,6 @@ fn parse_args() -> Result<Args, String> {
                 args.fallback_budget =
                     Some(value.parse().map_err(|e| format!("--fallback-budget: {e}"))?)
             }
-            "--threads" => {
-                args.threads = Some(value.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
             "--evaluator" => {
                 args.evaluator = Some(value.parse().map_err(|e| format!("--evaluator: {e}"))?)
             }
@@ -174,15 +169,16 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: cqa <classify|rewrite|sql|solve|answer|oracle|emit|analyze|serve|request> \
-     --schema \"R[2,1] …\" --query \"R(x,y), …\" [--fks \"R[2] -> S, …\"] [--db facts.txt] \
+     --schema \"R[2,1] …\" --query \"R(x,y), …\" [--fks \"R[2] -> S, …\"] \
+     [--db facts.txt | --db-text \"R(a,1) …\"] \
      [--problem file.problem] [--fixture NAME|list] [--datalog artifact.dl] \
-     [--fallback-budget N] [--threads N] [--evaluator auto|backtracking|semijoin] \
+     [--fallback-budget N] [--evaluator auto|backtracking|semijoin] \
      [--materialized]\n\
      emit:    --format datalog|sql  [--out PATH] [--execute]  \
      (self-contained artifact; exit 4 when only the oracle route exists)\n\
      serve:   --socket PATH | --tcp ADDR  [--cache N] [--max-facts N] [--metrics-out PATH] \
      (refuses to start on invalid CQA_THREADS/CQA_EVALUATOR)\n\
-     request: --socket PATH | --tcp ADDR  [--op ping|solve|emit|metrics|shutdown] [--db-text \"R(a,1) …\"] \
+     request: --socket PATH | --tcp ADDR  [--op ping|solve|emit|metrics|shutdown] \
      [--line '{\"op\":…}']\n\
      exit codes: 0 yes/certain · 1 no/not-certain · 2 usage or input error · \
      3 inconclusive or rejected · 4 not-FO (answer) / no artifact (emit)"
@@ -337,14 +333,11 @@ fn run_serve(args: &Args) -> Result<Outcome, String> {
     // Strict env validation (exit 2 on failure). The lenient, warn-once
     // readers used by `ExecOptions::default()` resolve the same values
     // once these checks pass.
-    let env_threads = rayon_lite::env_threads().map_err(|e| format!("refusing to serve: {e}"))?;
+    rayon_lite::env_threads().map_err(|e| format!("refusing to serve: {e}"))?;
     let env_join = JoinStrategy::try_from_env().map_err(|e| format!("refusing to serve: {e}"))?;
 
     let endpoint = cqa::serve::Endpoint::from_flags(args.socket.as_deref(), args.tcp.as_deref())?;
     let mut defaults = ExecOptions::default();
-    if let Some(n) = args.threads.or(env_threads) {
-        defaults = defaults.with_threads(n);
-    }
     if let Some(join) = args.evaluator.or(env_join) {
         defaults = defaults.with_join(join);
     }
@@ -416,9 +409,6 @@ fn run_request(args: &Args) -> Result<Outcome, String> {
                 if args.materialized {
                     fields.insert("materialized".to_string(), Value::Bool(true));
                 }
-                if let Some(n) = args.threads {
-                    fields.insert("threads".to_string(), Value::Number(n as f64));
-                }
                 if let Some(b) = args.fallback_budget {
                     fields.insert("budget".to_string(), Value::Number(b as f64));
                 }
@@ -464,10 +454,14 @@ fn run() -> Result<Outcome, String> {
     let problem = Problem::new(query, fks).map_err(|e| e.to_string())?;
 
     let load_db = || -> Result<Instance, String> {
-        let text = match (&args.db, &inline_db) {
-            (Some(path), _) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
-            (None, Some(inline)) => inline.clone(),
-            (None, None) => return Err("missing --db (or a `db:` line in --problem)".to_string()),
+        let text = match (&args.db, &args.db_text, &inline_db) {
+            (Some(path), _, _) => {
+                std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
+            }
+            (None, Some(text), _) | (None, None, Some(text)) => text.clone(),
+            (None, None, None) => {
+                return Err("missing --db or --db-text (or a `db:` line in --problem)".to_string())
+            }
         };
         parse_instance(&schema, &text).map_err(|e| e.to_string())
     };
@@ -508,9 +502,6 @@ fn run() -> Result<Outcome, String> {
         }
         "solve" => {
             let mut options = ExecOptions::default();
-            if let Some(n) = args.threads {
-                options = options.with_threads(n);
-            }
             if let Some(join) = args.evaluator {
                 options = options.with_join(join);
             }

@@ -58,7 +58,6 @@ pub mod prelude {
         classify::{Classification, NotFoReason},
         compiled_plan::{CompileError, CompiledPlan},
         engine::CertainEngine,
-        parallel::ParallelPolicy,
         pipeline::RewritePlan,
         problem::Problem,
         solver::{

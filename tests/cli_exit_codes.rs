@@ -1,5 +1,6 @@
 //! CLI exit-code contract, driven through the real binary
-//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer`, and
+//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer`, inline
+//! `--db-text` databases, and
 //! `cqa serve`'s strict refusal to start on invalid `CQA_THREADS` /
 //! `CQA_EVALUATOR` — via subprocess environments, never in-process
 //! `set_var`.
@@ -74,6 +75,33 @@ fn answer_distinguishes_certain_no_from_not_fo() {
 
     for p in [db, db_no, db_hard] {
         let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn db_text_is_an_inline_database_for_every_db_command() {
+    // Regression: `--db-text` was parsed and then ignored, so every
+    // command but `request` failed with "missing --db".
+    let r: &[&str] = &["--schema", "R[2,1]", "--query", "R(x,y)"];
+    let cases: [(&[&str], &[&str], &str, i32); 5] = [
+        (&["solve"], r, "R(a,b)", 0),
+        (&["solve"], &FO, "N(c,a) N(c,b) O(a) P(a)", 1),
+        (&["answer"], &FO, "N(c,a) O(a) P(a)", 0),
+        (&["oracle"], &FO, "N(c,a) N(c,b) O(a) P(a)", 1),
+        (&["emit", "--execute"], &FO, "N(c,a) O(a) P(a)", 0),
+    ];
+    for (cmd, problem, db, code) in cases {
+        let out = cqa()
+            .args(cmd)
+            .args(problem)
+            .args(["--db-text", db])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{cmd:?} --db-text {db:?}: {out:?}"
+        );
     }
 }
 

@@ -85,9 +85,10 @@ fn shared_fo_solver_is_thread_consistent() {
 
 #[test]
 fn shared_fo_solver_with_internal_fanout_is_thread_consistent() {
-    // Threads racing *outside* the solver while the compiled plan also
-    // fans out *inside* (threads > 1): the two levels of parallelism must
-    // not interfere.
+    // Threads racing *outside* the solver while each one's `solve_many`
+    // also shards its batch *inside* (threads > 1, a batch past the
+    // 16-instance sharding floor): the two levels of parallelism must not
+    // interfere.
     let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
     let solver = solver_for(
         &s,
@@ -95,7 +96,21 @@ fn shared_fo_solver_with_internal_fanout_is_thread_consistent() {
         "N[2] -> O",
         ExecOptions::default().with_threads(4),
     );
-    race(&solver, &instances(&s), 8);
+    let dbs = instances(&s);
+    let baseline: Vec<Certainty> = dbs.iter().map(|db| solver.solve(db).certainty).collect();
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let solver = Arc::clone(&solver);
+            let (dbs, baseline) = (&dbs, &baseline);
+            scope.spawn(move || {
+                let got: Vec<Certainty> = solver.solve_many(dbs).map(|v| v.certainty).collect();
+                assert_eq!(
+                    &got, baseline,
+                    "thread {t} disagrees with the sequential run"
+                );
+            });
+        }
+    });
 }
 
 #[test]

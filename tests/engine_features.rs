@@ -1,11 +1,7 @@
 //! Integration tests for the user-facing features layered on the core
-//! library: the certain-answers API, the engine's SQL emission, formula
-//! statistics, and the repair-counting module's relationship to certainty.
-//!
-//! The engine's `answer*` surface is deprecated in favor of `Solver`, but
-//! stays covered here on purpose — deprecated wrappers that silently rot
-//! are worse than none.
-#![allow(deprecated)]
+//! library: the certain-answers API, batched solving, the engine's SQL
+//! emission, formula statistics, and the repair-counting module's
+//! relationship to certainty.
 
 use cqa::core::certain_answers;
 use cqa::fo::stats;
@@ -115,18 +111,17 @@ fn certain_answers_fast_path_matches_per_tuple_grounding_on_collisions() {
 
 #[test]
 fn batched_answers_amortize_one_compiled_plan() {
-    // The engine compiles the plan once; answer_many evaluates a stream of
+    // The solver compiles the plan once; solve_many evaluates a stream of
     // databases against it and must agree with the interpretive
     // materializing evaluator on every one.
     let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
     let q = parse_query(&s, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&s, "N[2] -> O").unwrap();
-    let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
-    assert!(
-        engine.compiled_plan().is_some(),
-        "the §8 plan must compile: {:?}",
-        engine.compile_plan().err()
-    );
+    let solver = Solver::new(Problem::new(q, fks).unwrap()).unwrap();
+    let Route::FoPlan(route) = solver.route() else {
+        panic!("the §8 problem is FO, routed {}", solver.route());
+    };
+    let compiled = route.compiled().expect("the §8 plan must compile");
 
     let dbs: Vec<Instance> = [
         "N(c,a) N(c,b) O(a) P(a) P(b)",
@@ -139,11 +134,11 @@ fn batched_answers_amortize_one_compiled_plan() {
     .map(|text| parse_instance(&s, text).unwrap())
     .collect();
 
-    let batched = engine.answer_many(&dbs);
+    let batched: Vec<bool> = solver.solve_many(&dbs).map(|v| v.is_certain()).collect();
     assert_eq!(batched, vec![true, false, true, false, false]);
     for (db, &got) in dbs.iter().zip(&batched) {
-        assert_eq!(got, engine.answer_materialized(db), "on {db}");
-        assert_eq!(got, engine.answer(db), "on {db}");
+        assert_eq!(got, route.plan().answer(db), "on {db}");
+        assert_eq!(got, compiled.answer(db), "on {db}");
     }
 }
 
