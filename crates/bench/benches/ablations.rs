@@ -75,7 +75,7 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
     group.sample_size(10);
     for n in [8usize, 64, 512] {
         let db = chain_db(&s, n);
-        db.index(); // warm the instance index outside the timed loops
+        db.adom(); // build the lazy domains outside the timed loops
         group.bench_with_input(BenchmarkId::new("eval", n), &db, |b, db| {
             b.iter(|| compiled.eval_closed(db))
         });
@@ -96,7 +96,7 @@ fn bench_plan_compiled_vs_materialized(c: &mut Criterion) {
     for n in [16usize, 64, 256] {
         let db = nested_l45_instance(&s, n);
         assert_eq!(plan.answer(&db), compiled.answer(&db), "executors agree");
-        db.index(); // warm the base index outside the timed loops
+        db.adom(); // build the lazy domains outside the timed loops
         group.bench_with_input(BenchmarkId::new("compiled", n), &db, |b, db| {
             b.iter(|| compiled.answer(db))
         });
@@ -209,7 +209,6 @@ fn bench_columnar_vs_row(c: &mut Criterion) {
             let v = if i % 8 == 0 { "hit".to_string() } else { format!("v{i}") };
             db.insert_named("R", &[&format!("k{i}"), &v]).unwrap();
         }
-        db.index(); // build the row index and the cached projection
         let columnar = db.index().columnar(rel).expect("R holds rows").clone();
         let expected = n.div_ceil(8);
         let col_count = || columnar.column(1).iter().filter(|&&c| c == needle).count();
@@ -237,7 +236,7 @@ fn bench_semijoin_vs_backtracking(c: &mut Criterion) {
     group.sample_size(10);
     for n in [8usize, 64, 512] {
         let db = acyclic_join_instance(&s, n);
-        db.index(); // warm the row index and columnar projections
+        db.adom(); // build the lazy domains outside the timed loops
         assert!(!cq.satisfies_via(&db, JoinStrategy::Backtracking));
         assert!(!cq.satisfies_via(&db, JoinStrategy::Semijoin));
         group.bench_with_input(BenchmarkId::new("semijoin", n), &db, |b, db| {

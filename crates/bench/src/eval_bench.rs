@@ -405,7 +405,7 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
             interp::eval_closed(&db, &formula),
             "engines disagree at n={n}"
         );
-        db.index(); // warm the index so both engines see a built cache
+        db.adom(); // build the lazy domains so both engines see them built
         let interp_t = measure(budget, || interp::eval_closed(&db, &formula));
         let compiled_t = measure(budget, || compiled.eval_closed(&db));
         rows.push(EvalBenchRow {
@@ -427,7 +427,7 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
             cplan.answer(&db),
             "plan executors disagree at n={n}"
         );
-        db.index();
+        db.adom();
         let mat_t = measure(budget, || plan.answer(&db));
         let comp_t = measure(budget, || cplan.answer(&db));
         plan_rows.push(PlanBenchRow {
@@ -458,7 +458,7 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
             Some(cplan.answer(&db)),
             "solver facade and direct plan disagree at n={n}"
         );
-        db.index();
+        db.adom();
         // The overhead is a ratio of two near-identical sub-microsecond
         // timings, so a single (direct, solver) pair is at the mercy of
         // scheduler noise: repeat the paired measurement and keep the
@@ -571,7 +571,7 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
     let mut acyclic_join_rows = Vec::new();
     for &n in ACYCLIC_JOIN_SIZES {
         let db = acyclic_join_instance(&js, n);
-        db.index(); // warm the row index and columnar projections
+        db.adom(); // build the lazy domains outside the timed loops
         assert_eq!(
             cq.satisfies_via(&db, JoinStrategy::Backtracking),
             cq.satisfies_via(&db, JoinStrategy::Semijoin),
@@ -604,7 +604,7 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
         use cqa_emit::{datalog::Program, evaluate, Format, SolverEmitExt};
         for &n in EMIT_EXEC_SIZES {
             let db = nested_l45_instance(&ps, n);
-            db.index();
+            db.adom();
             let artifact = solver
                 .emit(&db, Format::Datalog)
                 .expect("nested workload emits");

@@ -1,20 +1,20 @@
 //! Columnar relation storage: a read-optimized projection of one
 //! relation's rows.
 //!
-//! The write side of the fact store stays row-oriented — [`crate::instance`]
-//! maintains a dense row table plus a key→rows hash map with O(1)
-//! insert/remove patching (PR 6's epoch protocol). A [`ColumnarRelation`] is
-//! the *read-optimized* projection of that table: one contiguous `Vec<Cst>`
-//! per attribute position, with the rows globally key-sorted so every
-//! primary-key block is a contiguous range. It is built lazily on first
-//! demand and invalidated by any mutation of its relation, so steady-state
-//! read workloads (scans, semijoin builds) pay the sort once.
+//! An instance stores each fact once, row-oriented: [`crate::instance`]
+//! keeps a dense row table plus a key→rows hash map per relation, patched
+//! in O(1) per insert/remove. A [`ColumnarRelation`] is a cached projection
+//! derived from that table, not a second store: one contiguous `Vec<Cst>`
+//! per attribute position, with the rows sorted so every primary-key block
+//! is a contiguous range. It is built lazily on first demand and discarded
+//! by any mutation of its relation, so steady-state read workloads (scans,
+//! semijoin builds, canonical-order iteration) pay the sort once.
 //!
 //! What the layout buys:
 //!
 //! * **column scans** — predicate evaluation over one position touches a
-//!   single contiguous slice instead of striding across boxed row
-//!   allocations ([`ColumnarRelation::column`]);
+//!   single contiguous slice instead of striding across whole rows
+//!   ([`ColumnarRelation::column`]);
 //! * **blocks as ranges** — a block is `rows[start..end]` of the sorted
 //!   order, so a key probe is a binary search
 //!   ([`ColumnarRelation::block_range`]);
@@ -46,14 +46,20 @@ impl ColumnarRelation {
     /// contiguous and internally sorted); duplicate rows are kept as-is —
     /// the row store already deduplicates.
     pub fn from_rows(key_len: usize, arity: usize, rows: &[Box<[Cst]>]) -> ColumnarRelation {
+        ColumnarRelation::from_slices(key_len, arity, rows.iter().map(|r| &**r).collect())
+    }
+
+    /// [`ColumnarRelation::from_rows`] over borrowed rows.
+    pub(crate) fn from_slices(
+        key_len: usize,
+        arity: usize,
+        mut rows: Vec<&[Cst]>,
+    ) -> ColumnarRelation {
         debug_assert!(key_len <= arity, "key is a prefix of the row");
-        let mut order: Vec<u32> = (0..u32::try_from(rows.len()).expect("row count fits in u32"))
-            .collect();
-        order.sort_unstable_by(|&a, &b| rows[a as usize].cmp(&rows[b as usize]));
+        rows.sort_unstable();
         let mut cols: Vec<Vec<Cst>> = vec![Vec::with_capacity(rows.len()); arity];
         let mut blocks: Vec<(Box<[Cst]>, u32)> = Vec::new();
-        for (i, &src) in order.iter().enumerate() {
-            let row = &rows[src as usize];
+        for (i, row) in rows.iter().enumerate() {
             debug_assert_eq!(row.len(), arity, "uniform arity");
             for (p, &c) in row.iter().enumerate() {
                 cols[p].push(c);
@@ -140,6 +146,11 @@ impl ColumnarRelation {
     pub fn copy_row_into(&self, i: usize, buf: &mut Vec<Cst>) {
         buf.clear();
         buf.extend(self.cols.iter().map(|c| c[i]));
+    }
+
+    /// The `i`-th row (in key-sorted order) as an owned tuple.
+    pub(crate) fn row(&self, i: usize) -> Box<[Cst]> {
+        self.cols.iter().map(|c| c[i]).collect()
     }
 }
 

@@ -1,9 +1,12 @@
 //! Database instances with primary-key *block* indexes.
 //!
 //! A *block* (paper §3.1) is a maximal set of key-equal facts; repairs with
-//! respect to primary keys choose at most one fact per block. The instance
-//! keeps, per relation, a map from key prefix to the facts of that block, so
-//! block enumeration — the primitive of every CQA algorithm — is direct.
+//! respect to primary keys choose at most one fact per block. An instance
+//! stores each fact once, in a per-relation row table with a hash map from
+//! key prefix to the rows of that block ([`InstanceIndex`]), so block
+//! enumeration — the primitive of every CQA algorithm — is direct, and
+//! point reads are hash probes. Readers that need the canonical (sorted)
+//! order read the key-sorted [`ColumnarRelation`] derived from that table.
 
 use crate::binding::{Binding, CompiledAtom};
 use crate::columnar::ColumnarRelation;
@@ -25,18 +28,11 @@ fn next_uid() -> u64 {
     NEXT_UID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Per-relation fact store with a block index.
-#[derive(Clone, Debug, Default)]
-struct RelStore {
-    rows: BTreeSet<Box<[Cst]>>,
-    /// key prefix → rows of the block (kept sorted for determinism).
-    blocks: BTreeMap<Box<[Cst]>, BTreeSet<Box<[Cst]>>>,
-}
-
 /// A finite set of facts over a schema.
 pub struct Instance {
     schema: Arc<Schema>,
-    rels: BTreeMap<RelName, RelStore>,
+    /// The only copy of the facts; every mutation maintains it in place.
+    store: InstanceIndex,
     len: usize,
     /// Generation counter: bumped by every *effective* mutation (an insert
     /// that added a row, a remove that deleted one). Together with
@@ -47,23 +43,16 @@ pub struct Instance {
     /// `(uid, epoch)` pins one mutation history of one object: equal pairs
     /// guarantee the observer has seen every mutation.
     uid: u64,
-    /// Lazily built secondary indexes ([`InstanceIndex`]); **patched in
-    /// place** by [`Instance::insert`]/[`Instance::remove`] once built
-    /// (O(1) amortized per fact), never discarded wholesale. Cloning an
-    /// instance clones the cache — it is a pure function of the rows, so a
-    /// clone's cache is equally valid.
-    cache: OnceLock<InstanceIndex>,
 }
 
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         Instance {
             schema: self.schema.clone(),
-            rels: self.rels.clone(),
+            store: self.store.clone(),
             len: self.len,
             epoch: self.epoch,
             uid: next_uid(),
-            cache: self.cache.clone(),
         }
     }
 }
@@ -73,11 +62,10 @@ impl Instance {
     pub fn new(schema: Arc<Schema>) -> Instance {
         Instance {
             schema,
-            rels: BTreeMap::new(),
+            store: InstanceIndex::default(),
             len: 0,
             epoch: 0,
             uid: next_uid(),
-            cache: OnceLock::new(),
         }
     }
 
@@ -99,8 +87,9 @@ impl Instance {
         self.uid
     }
 
-    /// Inserts a fact; returns `Ok(true)` if it was new.
-    pub fn insert(&mut self, fact: Fact) -> Result<bool, ModelError> {
+    /// The signature of `fact`'s relation, after checking that the relation
+    /// is declared and the arity matches.
+    fn validate(&self, fact: &Fact) -> Result<Signature, ModelError> {
         let sig = self.schema.expect(fact.rel)?;
         if fact.arity() != sig.arity {
             return Err(ModelError::ArityMismatch {
@@ -109,19 +98,16 @@ impl Instance {
                 got: fact.arity(),
             });
         }
-        let store = self.rels.entry(fact.rel).or_default();
-        let key: Box<[Cst]> = fact.key(sig).into();
-        if store.rows.insert(fact.args.clone()) {
-            store.blocks.entry(key).or_default().insert(fact.args.clone());
-            self.len += 1;
-            self.epoch += 1;
-            if let Some(idx) = self.cache.get_mut() {
-                idx.apply_insert(fact.rel, sig, fact.args);
-            }
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        Ok(sig)
+    }
+
+    /// Inserts a fact; returns `Ok(true)` if it was new.
+    pub fn insert(&mut self, fact: Fact) -> Result<bool, ModelError> {
+        let sig = self.validate(&fact)?;
+        let added = self.store.insert(fact.rel, sig, &fact.args);
+        self.len += usize::from(added);
+        self.epoch += u64::from(added);
+        Ok(added)
     }
 
     /// Convenience: inserts `rel(args…)` by name.
@@ -134,34 +120,11 @@ impl Instance {
     /// wrong-arity fact for a known relation is an error, not a silent
     /// `false` (which would be indistinguishable from "not present").
     pub fn remove(&mut self, fact: &Fact) -> Result<bool, ModelError> {
-        let sig = self.schema.expect(fact.rel)?;
-        if fact.arity() != sig.arity {
-            return Err(ModelError::ArityMismatch {
-                rel: fact.rel,
-                expected: sig.arity,
-                got: fact.arity(),
-            });
-        }
-        let Some(store) = self.rels.get_mut(&fact.rel) else {
-            return Ok(false);
-        };
-        if store.rows.remove(&fact.args) {
-            let key: Box<[Cst]> = fact.key(sig).into();
-            if let Some(block) = store.blocks.get_mut(&key) {
-                block.remove(&fact.args);
-                if block.is_empty() {
-                    store.blocks.remove(&key);
-                }
-            }
-            self.len -= 1;
-            self.epoch += 1;
-            if let Some(idx) = self.cache.get_mut() {
-                idx.apply_remove(fact.rel, &fact.args);
-            }
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        self.validate(fact)?;
+        let removed = self.store.remove(fact.rel, &fact.args);
+        self.len -= usize::from(removed);
+        self.epoch += u64::from(removed);
+        Ok(removed)
     }
 
     /// Applies an ordered batch of mutations. Every operation is validated
@@ -171,15 +134,7 @@ impl Instance {
     /// removes that deleted one); the epoch advances by exactly that many.
     pub fn apply(&mut self, delta: &Delta) -> Result<usize, ModelError> {
         for op in delta.ops() {
-            let fact = op.fact();
-            let sig = self.schema.expect(fact.rel)?;
-            if fact.arity() != sig.arity {
-                return Err(ModelError::ArityMismatch {
-                    rel: fact.rel,
-                    expected: sig.arity,
-                    got: fact.arity(),
-                });
-            }
+            self.validate(op.fact())?;
         }
         let mut effective = 0;
         for op in delta.ops() {
@@ -194,10 +149,7 @@ impl Instance {
 
     /// Whether the instance contains `fact`.
     pub fn contains(&self, fact: &Fact) -> bool {
-        self.rels
-            .get(&fact.rel)
-            .map(|s| s.rows.contains(&fact.args))
-            .unwrap_or(false)
+        self.store.contains(fact.rel, &fact.args)
     }
 
     /// Total number of facts.
@@ -212,34 +164,43 @@ impl Instance {
 
     /// All facts, in canonical order.
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.rels.iter().flat_map(|(rel, store)| {
-            store.rows.iter().map(move |row| Fact::new(*rel, row.clone()))
-        })
+        self.schema.relations().flat_map(|(rel, _)| self.facts_of(rel))
     }
 
     /// Facts of one relation, in canonical order.
     pub fn facts_of(&self, rel: RelName) -> impl Iterator<Item = Fact> + '_ {
-        self.rels
-            .get(&rel)
+        self.store
+            .columnar(rel)
             .into_iter()
-            .flat_map(move |store| store.rows.iter().map(move |row| Fact::new(rel, row.clone())))
+            .flat_map(move |col| (0..col.n_rows()).map(move |i| Fact::new(rel, col.row(i))))
+    }
+
+    /// The rows of every relation, in arbitrary order — for readers whose
+    /// result does not depend on order, so they skip the sorted projection.
+    fn rows(&self) -> impl Iterator<Item = (RelName, &[Cst])> + '_ {
+        self.store
+            .rels
+            .iter()
+            .flat_map(|(&rel, r)| r.rows().into_iter().map(move |row| (rel, row)))
     }
 
     /// Number of facts of one relation.
     pub fn count_of(&self, rel: RelName) -> usize {
-        self.rels.get(&rel).map(|s| s.rows.len()).unwrap_or(0)
+        self.store.rel(rel).map_or(0, RelIndex::len)
     }
 
     /// The block `R(⃗a, ∗)`: all facts of `rel` with key prefix `key`.
     pub fn block(&self, rel: RelName, key: &[Cst]) -> Vec<Fact> {
-        match self.rels.get(&rel) {
-            Some(store) => store
-                .blocks
-                .get(key)
-                .map(|rows| rows.iter().map(|r| Fact::new(rel, r.clone())).collect())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        }
+        let Some(r) = self.store.rel(rel) else {
+            return Vec::new();
+        };
+        let mut block: Vec<Fact> = r
+            .block(key)
+            .iter()
+            .map(|&i| Fact::new(rel, r.row(i)))
+            .collect();
+        block.sort_unstable();
+        block
     }
 
     /// `block(A, db)`: the block containing `fact` (empty if absent relation).
@@ -252,98 +213,89 @@ impl Instance {
 
     /// All blocks of `rel` as `(key, facts)` pairs, in canonical order.
     pub fn blocks(&self, rel: RelName) -> Vec<(Box<[Cst]>, Vec<Fact>)> {
-        match self.rels.get(&rel) {
-            Some(store) => store
-                .blocks
-                .iter()
-                .map(|(k, rows)| {
-                    (
-                        k.clone(),
-                        rows.iter().map(|r| Fact::new(rel, r.clone())).collect(),
-                    )
-                })
-                .collect(),
-            None => Vec::new(),
-        }
+        let Some(col) = self.store.columnar(rel) else {
+            return Vec::new();
+        };
+        col.blocks()
+            .map(|(key, rows)| {
+                (
+                    key.into(),
+                    rows.map(|i| Fact::new(rel, col.row(i))).collect(),
+                )
+            })
+            .collect()
     }
 
     /// Relations with at least one fact.
     pub fn populated_relations(&self) -> impl Iterator<Item = RelName> + '_ {
-        self.rels
-            .iter()
-            .filter(|(_, s)| !s.rows.is_empty())
-            .map(|(r, _)| *r)
+        self.schema
+            .relations()
+            .map(|(rel, _)| rel)
+            .filter(|&rel| self.count_of(rel) > 0)
     }
 
-    /// The lazily built secondary indexes over this instance: cached active
-    /// domain, key constants, and per-relation hash indexes for block
-    /// lookups and full-fact membership. Built on first use; once built,
-    /// every successful [`Instance::insert`]/[`Instance::remove`] patches it
-    /// in place (O(1) amortized per fact) instead of discarding it.
+    /// The instance's fact store: per-relation row tables with
+    /// hash-indexed key-prefix blocks for block lookups and full-fact
+    /// membership, plus the lazily built active domain and key constants.
+    /// Every successful [`Instance::insert`]/[`Instance::remove`] maintains
+    /// it in place (O(1) amortized per fact).
     pub fn index(&self) -> &InstanceIndex {
-        self.cache.get_or_init(|| InstanceIndex::build(self))
+        &self.store
     }
 
-    /// Builds a fresh [`InstanceIndex`] from scratch, bypassing (and not
-    /// touching) the cached one. This is the differential-testing oracle for
-    /// the incremental maintenance in [`Instance::insert`]/
-    /// [`Instance::remove`]: after any mutation trace,
+    /// Builds a fresh [`InstanceIndex`] from the current facts, with its
+    /// domains built, bypassing (and not touching) the maintained one. This
+    /// is the differential-testing oracle for the incremental maintenance in
+    /// [`Instance::insert`]/[`Instance::remove`]: after any mutation trace,
     /// `*db.index() == db.rebuild_index()` must hold.
     pub fn rebuild_index(&self) -> InstanceIndex {
-        InstanceIndex::build(self)
+        let mut fresh = InstanceIndex::default();
+        for f in self.facts() {
+            fresh.insert(f.rel, self.sig(f.rel), &f.args);
+        }
+        fresh.domains();
+        fresh
     }
 
     /// `adom(db)`: the active domain, as a cached handle (allocation-free
     /// after the first call; maintained in place across mutations).
     pub fn adom(&self) -> &BTreeSet<Cst> {
-        &self.index().adom.set
+        self.store.adom_set()
     }
 
     /// `keyconst(db)`: constants appearing at some primary-key position
     /// (paper Appendix B). Cached alongside [`Instance::adom`].
     pub fn key_consts(&self) -> &BTreeSet<Cst> {
-        &self.index().key_consts.set
+        self.store.key_consts_set()
     }
 
     /// A constant is *orphan* in `db` if it occurs exactly once, at a
     /// non-primary-key position (paper Appendix A).
     pub fn is_orphan_const(&self, c: Cst) -> bool {
-        let mut occurrences = 0usize;
-        let mut at_nonkey = false;
-        for (rel, store) in &self.rels {
-            let sig = self.schema.signature(*rel).expect("validated on insert");
-            for row in &store.rows {
-                for (i, &a) in row.iter().enumerate() {
-                    if a == c {
-                        occurrences += 1;
-                        if occurrences > 1 {
-                            return false;
-                        }
-                        at_nonkey = i + 1 > sig.key_len;
-                    }
-                }
-            }
-        }
-        occurrences == 1 && at_nonkey
+        let d = self.store.domains();
+        d.adom.occurrences(c) == 1 && d.key_consts.occurrences(c) == 0
     }
 
     /// Whether the instance satisfies all primary keys (no two distinct
     /// key-equal facts).
     pub fn satisfies_pk(&self) -> bool {
-        self.rels
-            .values()
-            .all(|s| s.blocks.values().all(|b| b.len() <= 1))
+        // Blocks partition the rows, so no block holds two rows exactly
+        // when there are as many blocks as rows.
+        self.store.rels.values().all(|r| r.blocks.len() == r.len())
     }
 
     /// The blocks violating a primary key, as `(rel, key)` pairs.
     pub fn pk_violations(&self) -> Vec<(RelName, Box<[Cst]>)> {
         let mut out = Vec::new();
-        for (rel, store) in &self.rels {
-            for (key, rows) in &store.blocks {
-                if rows.len() > 1 {
-                    out.push((*rel, key.clone()));
-                }
-            }
+        for (rel, _) in self.schema.relations() {
+            let Some(col) = self.store.columnar(rel) else {
+                continue;
+            };
+            out.extend(
+                col.blocks()
+                    .filter(|(_, rows)| rows.len() > 1)
+                    .map(|(key, _)| (rel, key.into())),
+            );
         }
         out
     }
@@ -351,13 +303,15 @@ impl Instance {
     /// Whether `fact` is dangling in this instance with respect to `fk`
     /// (paper §3.2): no `S`-fact whose key equals the fact's `i`-th value.
     pub fn is_dangling(&self, fact: &Fact, fk: &ForeignKey) -> bool {
-        if fact.rel != fk.from {
-            return false;
-        }
-        let Some(v) = fact.arg_at(fk.pos) else {
+        fact.rel == fk.from && self.dangles(&fact.args, fk)
+    }
+
+    /// Whether the `fk.from` row `args` has no `fk.to` block to point at.
+    fn dangles(&self, args: &[Cst], fk: &ForeignKey) -> bool {
+        let Some(&v) = fk.pos.checked_sub(1).and_then(|i| args.get(i)) else {
             return true;
         };
-        self.block(fk.to, &[v]).is_empty()
+        self.store.rel(fk.to).is_none_or(|r| r.block(&[v]).is_empty())
     }
 
     /// Whether `fact` is dangling with respect to *some* key of `fks`.
@@ -374,7 +328,8 @@ impl Instance {
 
     /// Whether the instance satisfies all foreign keys of `fks`.
     pub fn satisfies_fks(&self, fks: &FkSet) -> bool {
-        self.facts().all(|f| !self.is_dangling_any(&f, fks))
+        self.rows()
+            .all(|(rel, row)| fks.iter().all(|fk| fk.from != rel || !self.dangles(row, fk)))
     }
 
     /// Whether the instance is consistent with respect to `PK ∪ FK`.
@@ -382,58 +337,52 @@ impl Instance {
         self.satisfies_pk() && self.satisfies_fks(fks)
     }
 
+    /// The instance over this schema holding the rows of `self` that pass
+    /// `keep`.
+    fn filtered(&self, keep: impl Fn(RelName, &[Cst]) -> bool) -> Instance {
+        let mut out = Instance::new(self.schema.clone());
+        for (rel, row) in self.rows().filter(|&(rel, row)| keep(rel, row)) {
+            out.insert(Fact::new(rel, row)).expect("same schema");
+        }
+        out
+    }
+
     /// `db ∪ other`.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
-        for f in other.facts() {
-            out.insert(f).expect("schemas compatible");
+        for (rel, row) in other.rows() {
+            out.insert(Fact::new(rel, row)).expect("schemas compatible");
         }
         out
     }
 
     /// `db ∖ other` as a new instance.
     pub fn difference(&self, other: &Instance) -> Instance {
-        let mut out = Instance::new(self.schema.clone());
-        for f in self.facts() {
-            if !other.contains(&f) {
-                out.insert(f).expect("same schema");
-            }
-        }
-        out
+        self.filtered(|rel, row| !other.store.contains(rel, row))
     }
 
     /// `db ⊕ other`: symmetric difference as a fact set.
     pub fn symmetric_difference(&self, other: &Instance) -> BTreeSet<Fact> {
-        let mut out: BTreeSet<Fact> = self.facts().filter(|f| !other.contains(f)).collect();
-        out.extend(other.facts().filter(|f| !self.contains(f)));
-        out
+        self.rows()
+            .chain(other.rows())
+            .filter(|&(rel, row)| !(self.store.contains(rel, row) && other.store.contains(rel, row)))
+            .map(|(rel, row)| Fact::new(rel, row))
+            .collect()
     }
 
     /// Intersection `db ∩ other` as a new instance.
     pub fn intersection(&self, other: &Instance) -> Instance {
-        let mut out = Instance::new(self.schema.clone());
-        for f in self.facts() {
-            if other.contains(&f) {
-                out.insert(f).expect("same schema");
-            }
-        }
-        out
+        self.filtered(|rel, row| other.store.contains(rel, row))
     }
 
     /// Whether `self ⊆ other` as fact sets.
     pub fn subset_of(&self, other: &Instance) -> bool {
-        self.facts().all(|f| other.contains(&f))
+        self.rows().all(|(rel, row)| other.store.contains(rel, row))
     }
 
     /// `db↾rels`: restriction to facts whose relation is in `keep`.
     pub fn restrict(&self, keep: &BTreeSet<RelName>) -> Instance {
-        let mut out = Instance::new(self.schema.clone());
-        for f in self.facts() {
-            if keep.contains(&f.rel) {
-                out.insert(f).expect("same schema");
-            }
-        }
-        out
+        self.filtered(|rel, _| keep.contains(&rel))
     }
 
     /// Builds an instance from facts.
@@ -454,24 +403,26 @@ impl Instance {
     }
 }
 
-/// Per-relation hash indexes: a dense row table plus a key-prefix hash map
-/// from block key to row indices. Shared with [`crate::view`], which layers
-/// lazy restriction/filtering on top of these handles.
+/// One relation's rows: a dense row table plus a key-prefix hash map from
+/// block key to row ids. Shared with [`crate::view`], which layers lazy
+/// restriction/filtering on top of these handles.
 ///
 /// Row order in `all` (and id order within a block's index list) is
-/// **arbitrary**: inserts push at the end and removes swap-remove, so
-/// incremental maintenance is O(1) per fact. Consumers that need a
-/// deterministic order read the key-sorted columnar projection instead.
+/// **arbitrary**: inserts append and removes swap-remove, so maintenance is
+/// O(1) per fact. Consumers that need a deterministic order read the
+/// key-sorted columnar projection instead.
 #[derive(Clone, Debug)]
 pub(crate) struct RelIndex {
     pub(crate) key_len: usize,
     pub(crate) arity: usize,
-    /// All rows of the relation, arbitrary order.
-    pub(crate) all: Vec<Box<[Cst]>>,
-    /// key prefix → indices into `all` (arbitrary order).
+    /// All rows of the relation back to back, `arity` values each: row `i`
+    /// is `all[i * arity..][..arity]`. One allocation per relation keeps
+    /// rows dense in memory, whatever else was allocated between inserts.
+    all: Vec<Cst>,
+    /// key prefix → ids of the block's rows (arbitrary order).
     pub(crate) blocks: HashMap<Box<[Cst]>, Vec<u32>>,
     /// Lazily built read-optimized projection of `all`: one column per
-    /// position, rows key-sorted so blocks are contiguous ranges. Any
+    /// position, rows sorted so blocks are contiguous ranges. Any
     /// mutation of the relation discards it; the next reader rebuilds.
     columnar: OnceLock<ColumnarRelation>,
 }
@@ -479,9 +430,35 @@ pub(crate) struct RelIndex {
 impl RelIndex {
     /// The columnar projection, built on first demand after a mutation.
     pub(crate) fn columnar(&self) -> &ColumnarRelation {
-        self.columnar
-            .get_or_init(|| ColumnarRelation::from_rows(self.key_len, self.arity, &self.all))
+        self.columnar.get_or_init(|| {
+            ColumnarRelation::from_slices(self.key_len, self.arity, self.rows().iter().collect())
+        })
     }
+
+    /// The number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.all.len() / self.arity
+    }
+
+    /// The row with this id.
+    pub(crate) fn row(&self, id: u32) -> &[Cst] {
+        row_of(&self.all, self.arity, id)
+    }
+
+    /// Every row, in arbitrary order.
+    pub(crate) fn rows(&self) -> Candidates<'_> {
+        Candidates::from_parts(self, None)
+    }
+
+    /// The row ids of the block with this key (empty when absent).
+    pub(crate) fn block(&self, key: &[Cst]) -> &[u32] {
+        self.blocks.get(key).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Row `id` of a back-to-back row table of the given arity.
+fn row_of(all: &[Cst], arity: usize, id: u32) -> &[Cst] {
+    &all[id as usize * arity..][..arity]
 }
 
 /// A refcounted constant set: the materialized [`BTreeSet`] tracks the keys
@@ -510,79 +487,68 @@ impl CountedSet {
             self.set.remove(&c);
         }
     }
+
+    /// How many times `c` was counted (0 when absent).
+    fn occurrences(&self, c: Cst) -> u32 {
+        self.counts.get(&c).copied().unwrap_or(0)
+    }
 }
 
-/// Secondary indexes over an [`Instance`], built lazily by
-/// [`Instance::index`] and shared by the compiled evaluators:
-///
-/// * the active domain and key-constant sets, refcounted per occurrence so
-///   mutations maintain them exactly (a constant leaves the set only when
-///   its last occurrence does);
-/// * per-relation row tables with hash-indexed key-prefix blocks, so
-///   guarded lookups with a ground key and full-fact membership checks are
-///   O(1) hash probes instead of ordered-map walks that clone rows.
-///
-/// Once built, the index is **patched in place** by every mutation
-/// (`apply_insert`/`apply_remove`); `==` compares *structural content*
-/// (domains, occurrence counts, blocks as row sets), deliberately ignoring
-/// physical row order, which is history-dependent under swap-remove.
-#[derive(Clone, Debug)]
-pub struct InstanceIndex {
+/// The active domain and the key constants, refcounted per occurrence so
+/// mutations maintain them exactly (a constant leaves a set only when its
+/// last occurrence does).
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Domains {
     adom: CountedSet,
     key_consts: CountedSet,
+}
+
+impl Domains {
+    fn count_row(&mut self, key_len: usize, row: &[Cst]) {
+        row.iter().for_each(|&c| self.adom.count(c));
+        row[..key_len].iter().for_each(|&c| self.key_consts.count(c));
+    }
+
+    fn uncount_row(&mut self, key_len: usize, row: &[Cst]) {
+        row.iter().for_each(|&c| self.adom.uncount(c));
+        row[..key_len].iter().for_each(|&c| self.key_consts.uncount(c));
+    }
+}
+
+/// The fact store of an [`Instance`] ([`Instance::index`]), shared by the
+/// compiled evaluators:
+///
+/// * per-relation row tables with hash-indexed key-prefix blocks, so
+///   guarded lookups with a ground key and full-fact membership checks are
+///   O(1) hash probes;
+/// * the active domain and key-constant sets, built on first
+///   demand and maintained in place after that, so no workload pays for a
+///   domain it never reads.
+///
+/// Every mutation patches it in place; `==` compares *structural content*
+/// (domains, occurrence counts, blocks as row sets), deliberately ignoring
+/// physical row order, which is history-dependent under swap-remove.
+#[derive(Clone, Debug, Default)]
+pub struct InstanceIndex {
     rels: HashMap<RelName, RelIndex>,
+    domains: OnceLock<Domains>,
 }
 
 impl InstanceIndex {
-    fn build(db: &Instance) -> InstanceIndex {
-        let mut adom = CountedSet::default();
-        let mut key_consts = CountedSet::default();
-        let mut rels = HashMap::with_capacity(db.rels.len());
-        for (rel, store) in &db.rels {
-            let sig = db.schema.signature(*rel).expect("validated on insert");
-            let all: Vec<Box<[Cst]>> = store.rows.iter().cloned().collect();
-            let mut blocks: HashMap<Box<[Cst]>, Vec<u32>> =
-                HashMap::with_capacity(store.blocks.len());
-            for (i, row) in all.iter().enumerate() {
-                for &c in row.iter() {
-                    adom.count(c);
-                }
-                for &c in &row[..sig.key_len] {
-                    key_consts.count(c);
-                }
-                blocks
-                    .entry(row[..sig.key_len].into())
-                    .or_default()
-                    .push(u32::try_from(i).expect("row count fits in u32"));
+    /// The domains, counted over every row on first demand.
+    fn domains(&self) -> &Domains {
+        self.domains.get_or_init(|| {
+            let mut d = Domains::default();
+            for r in self.rels.values() {
+                r.rows().iter().for_each(|row| d.count_row(r.key_len, row));
             }
-            rels.insert(
-                *rel,
-                RelIndex {
-                    key_len: sig.key_len,
-                    arity: sig.arity,
-                    all,
-                    blocks,
-                    columnar: OnceLock::new(),
-                },
-            );
-        }
-        InstanceIndex {
-            adom,
-            key_consts,
-            rels,
-        }
+            d
+        })
     }
 
-    /// Patches the index for a row that was just added to the instance
-    /// (caller guarantees it was not present): push to the dense table,
-    /// append its id to the block, count its constants.
-    fn apply_insert(&mut self, rel: RelName, sig: Signature, row: Box<[Cst]>) {
-        for &c in row.iter() {
-            self.adom.count(c);
-        }
-        for &c in &row[..sig.key_len] {
-            self.key_consts.count(c);
-        }
+    /// Adds `row` to `rel` unless present (a block probe, then a compare
+    /// within the small block); returns whether it was added.
+    fn insert(&mut self, rel: RelName, sig: Signature, row: &[Cst]) -> bool {
         let r = self.rels.entry(rel).or_insert_with(|| RelIndex {
             key_len: sig.key_len,
             arity: sig.arity,
@@ -590,47 +556,61 @@ impl InstanceIndex {
             blocks: HashMap::new(),
             columnar: OnceLock::new(),
         });
+        let id = u32::try_from(r.len()).expect("row count fits in u32");
+        match r.blocks.get_mut(&row[..sig.key_len]) {
+            Some(ids) if ids.iter().any(|&i| row_of(&r.all, r.arity, i) == row) => return false,
+            Some(ids) => ids.push(id),
+            None => {
+                r.blocks.insert(row[..sig.key_len].into(), vec![id]);
+            }
+        }
+        if let Some(d) = self.domains.get_mut() {
+            d.count_row(sig.key_len, row);
+        }
         r.columnar.take();
-        let id = u32::try_from(r.all.len()).expect("row count fits in u32");
-        r.blocks.entry(row[..sig.key_len].into()).or_default().push(id);
-        r.all.push(row);
+        r.all.extend_from_slice(row);
+        true
     }
 
-    /// Patches the index for a row that was just removed from the instance
-    /// (caller guarantees it was present): uncount its constants, drop its
-    /// id from the block (erasing an emptied block), swap-remove it from the
-    /// dense table and re-point the row that moved into its slot.
-    fn apply_remove(&mut self, rel: RelName, row: &[Cst]) {
-        for &c in row {
-            self.adom.uncount(c);
-        }
-        let r = self.rels.get_mut(&rel).expect("indexed relation");
-        r.columnar.take();
-        for &c in &row[..r.key_len] {
-            self.key_consts.uncount(c);
-        }
-        let ids = r.blocks.get_mut(&row[..r.key_len]).expect("row's block indexed");
-        let pos = ids
-            .iter()
-            .position(|&i| &*r.all[i as usize] == row)
-            .expect("removed row indexed");
+    /// Removes `row` from `rel` if present; returns whether it was removed.
+    /// Drops its id from the block (erasing an emptied block), moves the
+    /// last row into its slot and re-points that row's id.
+    fn remove(&mut self, rel: RelName, row: &[Cst]) -> bool {
+        let Some(r) = self.rels.get_mut(&rel) else {
+            return false;
+        };
+        let key = &row[..r.key_len];
+        let Some(ids) = r.blocks.get_mut(key) else {
+            return false;
+        };
+        let Some(pos) = ids.iter().position(|&i| row_of(&r.all, r.arity, i) == row) else {
+            return false;
+        };
         let id = ids.swap_remove(pos) as usize;
         if ids.is_empty() {
-            r.blocks.remove(&row[..r.key_len]);
+            r.blocks.remove(key);
         }
-        let last = r.all.len() - 1;
-        r.all.swap_remove(id);
+        if let Some(d) = self.domains.get_mut() {
+            d.uncount_row(r.key_len, row);
+        }
+        r.columnar.take();
+        let (arity, last) = (r.arity, r.len() - 1);
+        r.all.copy_within(last * arity.., id * arity);
+        r.all.truncate(last * arity);
         if id != last {
             // The former last row now lives in slot `id`; re-point the one
             // stale id in its block's index list.
-            let moved_key: Box<[Cst]> = r.all[id][..r.key_len].into();
-            let ids = r.blocks.get_mut(&moved_key).expect("moved row's block indexed");
+            let ids = r
+                .blocks
+                .get_mut(&r.all[id * arity..][..r.key_len])
+                .expect("moved row's block indexed");
             let slot = ids
                 .iter_mut()
-                .find(|i| **i == u32::try_from(last).expect("row count fits in u32"))
+                .find(|i| **i as usize == last)
                 .expect("moved row's id indexed");
             *slot = u32::try_from(id).expect("row count fits in u32");
         }
+        true
     }
 
     /// Candidate rows for a slot-compiled guard atom under `binding`: the
@@ -645,47 +625,28 @@ impl InstanceIndex {
         binding: &Binding,
         scratch: &mut Vec<Cst>,
     ) -> Candidates<'_> {
-        const NONE: Candidates<'static> = Candidates {
-            all: &[],
-            idxs: Some(&[]),
+        let Some(r) = self.rels.get(&atom.rel).filter(|r| r.arity == atom.terms.len()) else {
+            return Candidates::none();
         };
-        let Some(r) = self.rels.get(&atom.rel) else {
-            return NONE;
-        };
-        if r.arity != atom.terms.len() {
-            return NONE;
-        }
         scratch.clear();
         for &t in &atom.terms[..r.key_len] {
-            match binding.resolve(t) {
-                Some(c) => scratch.push(c),
-                None => {
-                    return Candidates {
-                        all: &r.all,
-                        idxs: None,
-                    }
-                }
-            }
+            let Some(c) = binding.resolve(t) else {
+                return r.rows();
+            };
+            scratch.push(c);
         }
-        Candidates {
-            all: &r.all,
-            idxs: Some(
-                r.blocks
-                    .get(scratch.as_slice())
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[]),
-            ),
-        }
+        Candidates::from_parts(r, Some(r.block(scratch)))
     }
 
-    /// The cached active domain.
+    /// The active domain, built on first demand.
     pub fn adom_set(&self) -> &BTreeSet<Cst> {
-        &self.adom.set
+        &self.domains().adom.set
     }
 
-    /// The cached set of constants occurring in key positions.
+    /// The set of constants occurring in key positions, built on first
+    /// demand alongside [`InstanceIndex::adom_set`].
     pub fn key_consts_set(&self) -> &BTreeSet<Cst> {
-        &self.key_consts.set
+        &self.domains().key_consts.set
     }
 
     /// The per-relation index handles (for [`crate::view::InstanceView`]).
@@ -710,37 +671,26 @@ impl InstanceIndex {
         if args.len() != r.arity {
             return false;
         }
-        match r.blocks.get(&args[..r.key_len]) {
-            Some(idxs) => idxs.iter().any(|&i| &*r.all[i as usize] == args),
-            None => false,
-        }
+        r.block(&args[..r.key_len])
+            .iter()
+            .any(|&i| r.row(i) == args)
     }
 
-    /// Canonical per-relation content: `(key_len, arity, sorted rows,
-    /// block key → sorted rows)`, skipping relations with no rows (an empty
-    /// [`RelIndex`] entry is an artifact of mutation history, not content).
+    /// Canonical per-relation content: the row count and each block's
+    /// sorted rows, skipping relations with no rows (an empty [`RelIndex`]
+    /// entry is an artifact of mutation history, not content).
     #[allow(clippy::type_complexity)]
-    fn canonical_rels(
-        &self,
-    ) -> BTreeMap<RelName, (usize, usize, Vec<Box<[Cst]>>, BTreeMap<Box<[Cst]>, Vec<Box<[Cst]>>>)>
-    {
+    fn canonical_rels(&self) -> BTreeMap<RelName, (usize, BTreeMap<&[Cst], Vec<&[Cst]>>)> {
         self.rels
             .iter()
-            .filter(|(_, r)| !r.all.is_empty())
+            .filter(|(_, r)| r.len() > 0)
             .map(|(rel, r)| {
-                let mut rows = r.all.clone();
-                rows.sort_unstable();
-                let blocks = r
-                    .blocks
-                    .iter()
-                    .map(|(k, ids)| {
-                        let mut b: Vec<Box<[Cst]>> =
-                            ids.iter().map(|&i| r.all[i as usize].clone()).collect();
-                        b.sort_unstable();
-                        (k.clone(), b)
-                    })
-                    .collect();
-                (*rel, (r.key_len, r.arity, rows, blocks))
+                let blocks = r.blocks.iter().map(|(key, ids)| {
+                    let mut rows: Vec<&[Cst]> = ids.iter().map(|&i| r.row(i)).collect();
+                    rows.sort_unstable();
+                    (&**key, rows)
+                });
+                (*rel, (r.len(), blocks.collect()))
             })
             .collect()
     }
@@ -752,9 +702,7 @@ impl InstanceIndex {
 /// incremental-vs-rebuild differential tests compare.
 impl PartialEq for InstanceIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.adom == other.adom
-            && self.key_consts == other.key_consts
-            && self.canonical_rels() == other.canonical_rels()
+        self.domains() == other.domains() && self.canonical_rels() == other.canonical_rels()
     }
 }
 
@@ -764,31 +712,39 @@ impl Eq for InstanceIndex {}
 /// or a whole relation, borrowed — no rows are cloned.
 #[derive(Clone, Copy, Debug)]
 pub struct Candidates<'a> {
-    all: &'a [Box<[Cst]>],
-    /// `Some(indices into all)` for a block, `None` for the full relation.
+    /// The relation's rows, back to back.
+    all: &'a [Cst],
+    arity: usize,
+    /// `Some(row ids)` for a block, `None` for the full relation.
     idxs: Option<&'a [u32]>,
 }
 
 impl<'a> Candidates<'a> {
-    /// A candidate set over `all`, optionally narrowed to the given row
-    /// indices (used by [`crate::view::InstanceView`] to present filtered
-    /// row sets without copying rows).
-    pub(crate) fn from_parts(all: &'a [Box<[Cst]>], idxs: Option<&'a [u32]>) -> Candidates<'a> {
-        Candidates { all, idxs }
+    /// A candidate set over the rows of `r`, optionally narrowed to the
+    /// given row ids (used by [`crate::view::InstanceView`] to present
+    /// filtered row sets without copying rows).
+    pub(crate) fn from_parts(r: &'a RelIndex, idxs: Option<&'a [u32]>) -> Candidates<'a> {
+        Candidates {
+            all: &r.all,
+            arity: r.arity,
+            idxs,
+        }
     }
 
     /// The empty candidate set.
     pub(crate) fn none() -> Candidates<'static> {
         Candidates {
             all: &[],
+            arity: 1,
             idxs: Some(&[]),
         }
     }
+
     /// Number of candidate rows.
     pub fn len(&self) -> usize {
         match self.idxs {
             Some(ix) => ix.len(),
-            None => self.all.len(),
+            None => self.all.len() / self.arity,
         }
     }
 
@@ -799,10 +755,7 @@ impl<'a> Candidates<'a> {
 
     /// Iterates the candidate rows.
     pub fn iter(&self) -> CandidateIter<'a> {
-        CandidateIter {
-            cands: *self,
-            pos: 0,
-        }
+        (*self).into_iter()
     }
 }
 
@@ -829,12 +782,14 @@ impl<'a> Iterator for CandidateIter<'a> {
     type Item = &'a [Cst];
 
     fn next(&mut self) -> Option<&'a [Cst]> {
-        let row = match self.cands.idxs {
-            Some(ix) => &*self.cands.all[*ix.get(self.pos)? as usize],
-            None => &**self.cands.all.get(self.pos)?,
+        let Candidates { all, arity, idxs } = self.cands;
+        let id = match idxs {
+            Some(ix) => *ix.get(self.pos)?,
+            None if self.pos * arity < all.len() => self.pos as u32,
+            None => return None,
         };
         self.pos += 1;
-        Some(row)
+        Some(row_of(all, arity, id))
     }
 }
 
@@ -848,14 +803,8 @@ impl Eq for Instance {}
 
 impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, fact) in self.facts().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{fact}")?;
-        }
-        write!(f, "}}")
+        let facts: Vec<String> = self.facts().map(|fact| fact.to_string()).collect();
+        write!(f, "{{{}}}", facts.join(", "))
     }
 }
 
@@ -1036,7 +985,7 @@ mod tests {
     #[test]
     fn index_is_patched_in_place() {
         let mut db = db();
-        db.index(); // force the build, then mutate through the patch path
+        db.adom(); // build the domains, then mutate through the patch path
         db.insert_named("S", &["7", "q"]).unwrap();
         db.remove(&Fact::from_names("R", &["a", "1"])).unwrap();
         db.remove(&Fact::from_names("S", &["1", "x"])).unwrap();

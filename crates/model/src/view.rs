@@ -6,12 +6,12 @@
 //! blocks, and Lemma 45 evaluates a residual problem per block fact. The
 //! interpretive evaluator realizes each transformation as a fresh
 //! [`Instance`]; an [`InstanceView`] realizes the same transformations as a
-//! *view stack* over the base instance's [`InstanceIndex`]:
+//! *view stack* over the base instance's fact store ([`InstanceIndex`]):
 //!
 //! * **restriction** — a set of visible relations (hidden relations present
 //!   no rows);
 //! * **block filtering** — per relation, the set of surviving block keys
-//!   plus the surviving row indices into the index's row table, so
+//!   plus the surviving row indices into the store's row table, so
 //!   candidate iteration still hands out borrowed row slices;
 //! * **renaming** — the Lemma 45 injective renaming `f` as a lazy
 //!   per-position value translation ([`InstanceView::renamed_rows`]) backed
@@ -31,7 +31,7 @@
 
 use crate::binding::{Binding, CompiledAtom};
 use crate::columnar::ColumnarRelation;
-use crate::instance::{Candidates, Instance, InstanceIndex};
+use crate::instance::{Candidates, Instance, InstanceIndex, RelIndex};
 use crate::intern::Cst;
 use crate::schema::RelName;
 use crate::term::Term;
@@ -158,8 +158,8 @@ impl ReadLog {
 }
 
 /// A lazy view over an [`Instance`]: relation restriction plus per-relation
-/// block filters, evaluated against the instance's [`InstanceIndex`] row
-/// handles. See the module docs.
+/// block filters, evaluated against the instance's fact store
+/// ([`InstanceIndex`]). See the module docs.
 #[derive(Clone)]
 pub struct InstanceView<'a> {
     idx: &'a InstanceIndex,
@@ -190,6 +190,11 @@ impl<'a> InstanceView<'a> {
         if let Some(log) = &self.log {
             log.scan(rel);
         }
+    }
+
+    /// The rows of `rel` (held in `r`) that survive its block filter.
+    fn surviving_rows<'s>(&'s self, rel: RelName, r: &'s RelIndex) -> Candidates<'s> {
+        Candidates::from_parts(r, self.filters.get(&rel).map(|f| f.rows.as_slice()))
     }
 
     fn note_key(&self, rel: RelName, key: &[Cst]) {
@@ -223,9 +228,7 @@ impl<'a> InstanceView<'a> {
         let mut rows: Vec<u32> = Vec::new();
         if let Some(r) = self.idx.rel(rel) {
             for key in &keys {
-                if let Some(idxs) = r.blocks.get(key) {
-                    rows.extend_from_slice(idxs);
-                }
+                rows.extend_from_slice(r.block(key));
             }
         }
         rows.sort_unstable();
@@ -258,7 +261,7 @@ impl<'a> InstanceView<'a> {
             }
             out.push((
                 &**key,
-                idxs.iter().map(|&i| &*r.all[i as usize]).collect(),
+                idxs.iter().map(|&i| r.row(i)).collect(),
             ));
         }
         out
@@ -279,10 +282,7 @@ impl<'a> InstanceView<'a> {
                 return Vec::new();
             }
         }
-        match r.blocks.get(key) {
-            Some(idxs) => idxs.iter().map(|&i| &*r.all[i as usize]).collect(),
-            None => Vec::new(),
-        }
+        r.block(key).iter().map(|&i| r.row(i)).collect()
     }
 
     /// Whether the block `rel(key, ∗)` is visible and non-empty — the
@@ -317,10 +317,7 @@ impl<'a> InstanceView<'a> {
         let cands = if self.visible.contains(&rel) {
             self.note_scan(rel);
             match self.idx.rel(rel) {
-                Some(r) => Candidates::from_parts(
-                    &r.all,
-                    self.filters.get(&rel).map(|f| f.rows.as_slice()),
-                ),
+                Some(r) => self.surviving_rows(rel, r),
                 None => Candidates::none(),
             }
         } else {
@@ -338,13 +335,7 @@ impl<'a> InstanceView<'a> {
     pub fn len(&self) -> usize {
         self.visible
             .iter()
-            .filter_map(|&rel| {
-                let r = self.idx.rel(rel)?;
-                Some(match self.filters.get(&rel) {
-                    Some(f) => f.rows.len(),
-                    None => r.all.len(),
-                })
-            })
+            .filter_map(|&rel| Some(self.surviving_rows(rel, self.idx.rel(rel)?).len()))
             .sum()
     }
 
@@ -381,10 +372,7 @@ impl FactSource for InstanceView<'_> {
                 None => {
                     // Non-ground key: scan the surviving rows.
                     self.note_scan(atom.rel);
-                    return match self.filters.get(&atom.rel) {
-                        Some(f) => Candidates::from_parts(&r.all, Some(&f.rows)),
-                        None => Candidates::from_parts(&r.all, None),
-                    };
+                    return self.surviving_rows(atom.rel, r);
                 }
             }
         }
@@ -394,15 +382,7 @@ impl FactSource for InstanceView<'_> {
                 return Candidates::none();
             }
         }
-        Candidates::from_parts(
-            &r.all,
-            Some(
-                r.blocks
-                    .get(scratch.as_slice())
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[]),
-            ),
-        )
+        Candidates::from_parts(r, Some(r.block(scratch)))
     }
 
     fn contains_row(&self, rel: RelName, args: &[Cst]) -> bool {
@@ -426,17 +406,8 @@ impl FactSource for InstanceView<'_> {
         for &rel in &self.visible {
             self.note_scan(rel);
             let Some(r) = self.idx.rel(rel) else { continue };
-            match self.filters.get(&rel) {
-                Some(f) => {
-                    for &i in &f.rows {
-                        out.extend(r.all[i as usize].iter().copied());
-                    }
-                }
-                None => {
-                    for row in &r.all {
-                        out.extend(row.iter().copied());
-                    }
-                }
+            for row in self.surviving_rows(rel, r) {
+                out.extend(row.iter().copied());
             }
         }
     }

@@ -1,10 +1,10 @@
-//! Concurrency stress tests for the lazily built [`Instance::index`]:
+//! Concurrency stress tests for the lazily built domains of an [`Instance`]:
 //! `certain_answers_with` shards candidate tuples over one shared
 //! `&Instance`, so its workers may all take the *first* look at a fresh
-//! instance simultaneously. The `OnceLock` cache behind `index()` must be
-//! safe (and stable) under concurrent first-touch, and the index-backed
-//! read paths (`guarded_candidates`, `adom`, `contains`) must agree with a
-//! sequentially warmed twin.
+//! instance's active domain simultaneously. The `OnceLock` behind
+//! `adom()`/`key_consts()` must be safe (and stable) under a concurrent
+//! first build, and the store-backed read paths (`guarded_candidates`,
+//! `contains`, `is_orphan_const`) must agree with a sequentially warmed twin.
 
 use cqa_model::{
     Binding, CompiledAtom, Cst, FactSource, Instance, RelName, SlotTerm,
@@ -28,56 +28,54 @@ fn fresh_db(round: usize) -> Instance {
     db
 }
 
-/// What a worker observes through the index: the identity of the cached
-/// `InstanceIndex` plus the results of the read paths it backs.
-fn probe(db: &Instance) -> (usize, usize, usize, bool) {
-    let idx = db.index();
-    let identity = idx as *const _ as usize;
+/// What a worker observes: the identity of the cached active domain plus
+/// the results of the read paths around it.
+type Observation = (usize, (usize, usize, usize, bool, bool));
+
+fn probe(db: &Instance) -> Observation {
+    let adom = db.adom();
+    let identity = adom as *const _ as usize;
     let atom = CompiledAtom {
         rel: RelName::new("R"),
         terms: vec![SlotTerm::Cst(Cst::new("k1")), SlotTerm::Slot(0)],
     };
     let binding = Binding::new(1);
     let mut scratch = Vec::new();
+    let idx = db.index();
     let block = idx
         .guarded_candidates(&atom, &binding, &mut scratch)
         .len();
-    let adom_len = db.adom().len();
     let member = idx.contains(RelName::new("S"), &[Cst::new("v0"), Cst::new("w0")]);
-    (identity, block, adom_len, member)
+    let orphan = db.is_orphan_const(Cst::new("w0"));
+    (identity, (block, adom.len(), db.key_consts().len(), member, orphan))
 }
 
 #[test]
-fn first_touch_of_the_index_is_safe_under_racing_threads() {
+fn first_build_of_the_domains_is_safe_under_racing_threads() {
     for round in 0..ROUNDS {
         let db = fresh_db(round);
         // A sequentially warmed twin provides the expected observations.
         let twin = db.clone();
-        let (_, expected_block, expected_adom, expected_member) = probe(&twin);
+        let (_, expected) = probe(&twin);
 
-        // All threads race the *first* index build of `db`.
-        let observations: Vec<(usize, usize, usize, bool)> =
-            std::thread::scope(|s| {
-                let handles: Vec<_> =
-                    (0..THREADS).map(|_| s.spawn(|| probe(&db))).collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
+        // All threads race the *first* domain build of `db`.
+        let observations: Vec<Observation> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS).map(|_| s.spawn(|| probe(&db))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-        let identities: BTreeSet<usize> =
-            observations.iter().map(|&(id, ..)| id).collect();
+        let identities: BTreeSet<usize> = observations.iter().map(|o| o.0).collect();
         assert_eq!(
             identities.len(),
             1,
-            "round {round}: racing threads must all see the same cached index"
+            "round {round}: racing threads must all see the same cached domain"
         );
-        for (i, &(_, block, adom_len, member)) in observations.iter().enumerate() {
-            assert_eq!(block, expected_block, "round {round}, thread {i}: block");
-            assert_eq!(adom_len, expected_adom, "round {round}, thread {i}: adom");
-            assert_eq!(member, expected_member, "round {round}, thread {i}: contains");
+        for (i, (_, seen)) in observations.iter().enumerate() {
+            assert_eq!(*seen, expected, "round {round}, thread {i}");
         }
-        // The winner's index stayed installed: a later sequential call
+        // The winner's domains stayed installed: a later sequential call
         // observes the same cache, not a rebuild.
-        assert!(identities.contains(&(db.index() as *const _ as usize)));
+        assert!(identities.contains(&(db.adom() as *const _ as usize)));
     }
 }
 

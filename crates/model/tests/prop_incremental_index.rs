@@ -1,12 +1,15 @@
-//! Differential property tests for **incremental index maintenance**: on
+//! Differential property tests for **incremental store maintenance**: on
 //! randomized insert/remove traces (including remove-then-reinsert, blocks
 //! emptied and refilled, and active-domain shrink), the in-place-patched
-//! [`Instance`] index must stay canonically equal to a from-scratch
-//! rebuild, the epoch must count exactly the effective mutations, and
-//! batch [`Instance::apply`] must agree with op-by-op application.
+//! [`Instance`] store must stay canonically equal to a from-scratch
+//! rebuild, its readers must keep the canonical (sorted) order of a
+//! `BTreeSet<Fact>` model, the epoch must count exactly the effective
+//! mutations, and batch [`Instance::apply`] must agree with op-by-op
+//! application.
 
-use cqa_model::{Delta, Fact, Instance};
+use cqa_model::{Cst, Delta, Fact, Instance};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Small pools so the same fact is inserted, removed and reinserted often,
@@ -37,6 +40,53 @@ fn empty_db() -> Instance {
     ))
 }
 
+/// Every reader of `db` agrees with the sorted fact set `model`: `facts()`
+/// in sorted order, blocks key-ascending with sorted rows, point probes and
+/// primary-key checks.
+fn check_against_model(db: &Instance, model: &BTreeSet<Fact>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        db.facts().collect::<Vec<_>>(),
+        model.iter().cloned().collect::<Vec<_>>()
+    );
+    let mut violations = Vec::new();
+    for (rel, _) in db.schema().relations() {
+        let of_rel: Vec<Fact> = model.iter().filter(|f| f.rel == rel).cloned().collect();
+        prop_assert_eq!(db.count_of(rel), of_rel.len());
+        let blocks = db.blocks(rel);
+        prop_assert!(
+            blocks.windows(2).all(|w| w[0].0 < w[1].0),
+            "blocks key-ascending"
+        );
+        let flat: Vec<Fact> = blocks.iter().flat_map(|(_, b)| b.iter().cloned()).collect();
+        prop_assert_eq!(flat, of_rel.clone(), "blocks hold sorted rows");
+        for (key, block) in &blocks {
+            prop_assert_eq!(&db.block(rel, key), block, "block() is sorted");
+            prop_assert!(block.iter().all(|f| db.contains(f)));
+            if block.len() > 1 {
+                violations.push((rel, key.clone()));
+            }
+        }
+    }
+    prop_assert_eq!(db.satisfies_pk(), violations.is_empty());
+    prop_assert_eq!(db.pk_violations(), violations);
+    Ok(())
+}
+
+/// The orphan test by brute force: one occurrence in the whole instance,
+/// at a non-key position.
+fn orphan_by_scan(db: &Instance, c: Cst) -> bool {
+    let mut hits = Vec::new();
+    for f in db.facts() {
+        let key_len = db.sig(f.rel).key_len;
+        hits.extend(
+            (0..f.arity())
+                .filter(|&i| f.args[i] == c)
+                .map(|i| i >= key_len),
+        );
+    }
+    hits == [true]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 96,
@@ -55,15 +105,18 @@ proptest! {
             0..40),
     ) {
         let mut db = empty_db();
-        // Force the cache into existence up front so every later step
-        // exercises the in-place patch path, not a lazy rebuild.
-        let _ = db.index();
+        let mut model = BTreeSet::new();
+        // Build the lazy domains up front so every later step exercises
+        // the in-place patch path, not a lazy build.
+        let _ = db.adom();
         for step in &steps {
             let fact = fact_of(step);
             let epoch_before = db.epoch();
             let effective = if is_insert(step) {
-                db.insert(fact).unwrap()
+                model.insert(fact.clone());
+                db.insert(fact.clone()).unwrap()
             } else {
+                model.remove(&fact);
                 db.remove(&fact).unwrap()
             };
             prop_assert_eq!(
@@ -76,6 +129,8 @@ proptest! {
                 "patched index diverged from rebuild after {:?}",
                 step
             );
+            prop_assert_eq!(db.contains(&fact), model.contains(&fact));
+            check_against_model(&db, &model)?;
         }
         // The derived views agree with the rebuild too.
         let rebuilt = db.rebuild_index();
@@ -99,7 +154,7 @@ proptest! {
         for step in &prefix {
             base.insert(fact_of(step)).unwrap();
         }
-        let _ = base.index();
+        let _ = base.adom();
 
         let mut delta = Delta::new();
         for step in &steps {
@@ -149,7 +204,7 @@ proptest! {
         for step in &prefix {
             db.insert(fact_of(step)).unwrap();
         }
-        let _ = db.index();
+        let _ = db.adom();
         let snapshot = db.rebuild_index();
         let epoch = db.epoch();
 
@@ -160,5 +215,46 @@ proptest! {
 
         prop_assert!(*db.index() == snapshot, "round trip must restore the index");
         prop_assert_eq!(db.epoch(), epoch + 2, "two effective mutations");
+    }
+
+    /// `is_orphan_const` (two counted-domain lookups) agrees with a scan of
+    /// every fact, after every step of a mutation trace.
+    #[test]
+    fn orphan_check_matches_a_scan_along_any_trace(
+        steps in proptest::collection::vec(
+            (0..2usize, 0..2usize, 0..POOL.len(), 0..POOL.len(), 0..POOL.len()),
+            0..40),
+    ) {
+        let mut db = empty_db();
+        for step in &steps {
+            let fact = fact_of(step);
+            if is_insert(step) {
+                db.insert(fact).unwrap();
+            } else {
+                db.remove(&fact).unwrap();
+            }
+            for c in POOL.map(Cst::new) {
+                prop_assert_eq!(db.is_orphan_const(c), orphan_by_scan(&db, c), "{} in {}", c, db);
+            }
+        }
+    }
+
+    /// `Display` prints the canonical order: two insertion orders of one
+    /// fact set print the same text.
+    #[test]
+    fn display_ignores_insertion_order(
+        steps in proptest::collection::vec(
+            (Just(0usize), 0..2usize, 0..POOL.len(), 0..POOL.len(), 0..POOL.len()),
+            0..20),
+    ) {
+        let mut forward = empty_db();
+        let mut backward = empty_db();
+        for step in &steps {
+            forward.insert(fact_of(step)).unwrap();
+        }
+        for step in steps.iter().rev() {
+            backward.insert(fact_of(step)).unwrap();
+        }
+        prop_assert_eq!(forward.to_string(), backward.to_string());
     }
 }

@@ -8,45 +8,22 @@
 //! uniformly (choose one fact per block, independently and uniformly) and
 //! report the satisfaction ratio.
 
-use cqa_model::{CompiledQuery, Fact, Instance, Query};
+use crate::pk_repairs::{blocks_of, visit_pk_repairs};
+use cqa_model::{CompiledQuery, Instance, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 /// Exact count of primary-key repairs satisfying `q`, by enumeration.
 /// Exponential — meant for ground truth on small instances.
 pub fn count_satisfying_pk_repairs(db: &Instance, q: &Query) -> u128 {
-    let mut blocks: Vec<Vec<Fact>> = Vec::new();
-    for rel in db.populated_relations() {
-        for (_, facts) in db.blocks(rel) {
-            blocks.push(facts);
-        }
-    }
-    let mut current: Vec<Fact> = Vec::new();
     let cq = CompiledQuery::new(q);
-    count_rec(db, &cq, &blocks, 0, &mut current)
-}
-
-fn count_rec(
-    db: &Instance,
-    q: &CompiledQuery,
-    blocks: &[Vec<Fact>],
-    idx: usize,
-    current: &mut Vec<Fact>,
-) -> u128 {
-    if idx == blocks.len() {
-        let mut r = Instance::new(db.schema().clone());
-        for f in current.iter() {
-            r.insert(f.clone()).expect("db fact");
-        }
-        return u128::from(q.satisfies(&r));
-    }
-    let mut total = 0u128;
-    for f in &blocks[idx] {
-        current.push(f.clone());
-        total += count_rec(db, q, blocks, idx + 1, current);
-        current.pop();
-    }
-    total
+    let mut n = 0;
+    visit_pk_repairs(db, |r| {
+        n += u128::from(cq.satisfies(r));
+        ControlFlow::<()>::Continue(())
+    });
+    n
 }
 
 /// The exact fraction of primary-key repairs satisfying `q`
@@ -64,12 +41,7 @@ pub fn exact_satisfaction_ratio(db: &Instance, q: &Query) -> f64 {
 /// independently — this is the uniform distribution over repairs).
 pub fn sampled_satisfaction_ratio(db: &Instance, q: &Query, samples: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let blocks: Vec<Vec<Fact>> = db
-        .populated_relations()
-        .collect::<Vec<_>>()
-        .into_iter()
-        .flat_map(|rel| db.blocks(rel).into_iter().map(|(_, facts)| facts))
-        .collect();
+    let blocks = blocks_of(db);
     if samples == 0 {
         return 0.0;
     }

@@ -19,9 +19,10 @@
 use crate::chase::chase_fresh;
 use crate::delta::is_delta_repair;
 use crate::limits::SearchLimits;
-use crate::pk_repairs::count_pk_repairs;
+use crate::pk_repairs::{blocks_of, count_pk_repairs, visit_pk_repairs};
 use cqa_model::{CompiledQuery, Fact, FkSet, Instance, Query};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// The oracle's verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,7 +30,7 @@ pub enum OracleOutcome {
     /// Every ⊕-repair satisfies the query.
     Certain,
     /// A falsifying ⊕-repair exists (witness included; boxed — an
-    /// `Instance` with its patched index dwarfs the other variants).
+    /// `Instance` with its fact store dwarfs the other variants).
     NotCertain(Box<Instance>),
     /// Search limits were hit before a verdict was reached.
     Inconclusive(String),
@@ -104,12 +105,7 @@ impl CertaintyOracle {
         if fks.is_empty() {
             return self.pk_only(db, &cq);
         }
-        let mut blocks: Vec<Vec<Fact>> = Vec::new();
-        for rel in db.populated_relations() {
-            for (_, facts) in db.blocks(rel) {
-                blocks.push(facts);
-            }
-        }
+        let blocks = blocks_of(db);
         let space = candidate_space(db);
         if space > self.limits.max_candidates {
             return OracleOutcome::Inconclusive(format!(
@@ -131,19 +127,24 @@ impl CertaintyOracle {
     }
 
     fn pk_only(&self, db: &Instance, q: &CompiledQuery) -> OracleOutcome {
-        if count_pk_repairs(db) > self.limits.max_candidates as u128 {
+        let repairs = count_pk_repairs(db);
+        if repairs > self.limits.max_candidates as u128 {
             return OracleOutcome::Inconclusive(format!(
-                "{} primary-key repairs exceed limit {}",
-                count_pk_repairs(db),
+                "{repairs} primary-key repairs exceed limit {}",
                 self.limits.max_candidates
             ));
         }
-        for r in crate::pk_repairs::pk_repairs(db) {
-            if !q.satisfies(&r) {
-                return OracleOutcome::NotCertain(Box::new(r));
+        let witness = visit_pk_repairs(db, |r| {
+            if q.satisfies(r) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(r.clone())
             }
+        });
+        match witness {
+            Some(r) => OracleOutcome::NotCertain(Box::new(r)),
+            None => OracleOutcome::Certain,
         }
-        OracleOutcome::Certain
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -206,13 +207,9 @@ impl CertaintyOracle {
 /// unified solver's budgeted fallback) can report how far a budget goes
 /// before committing to the search.
 pub fn candidate_space(db: &Instance) -> u64 {
-    let mut space: u64 = 1;
-    for rel in db.populated_relations() {
-        for (_, facts) in db.blocks(rel) {
-            space = space.saturating_mul(facts.len() as u64 + 1);
-        }
-    }
-    space
+    blocks_of(db)
+        .iter()
+        .fold(1, |n, b| n.saturating_mul(b.len() as u64 + 1))
 }
 
 #[cfg(test)]

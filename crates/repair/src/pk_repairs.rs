@@ -6,95 +6,79 @@
 //! strictly ⊕-closer consistent instance), so enumeration is direct.
 
 use cqa_model::{CompiledQuery, Fact, Instance, Query};
+use std::ops::ControlFlow;
 
 /// Enumerates all primary-key repairs of `db`.
 ///
 /// The number of repairs is the product of block sizes, so this is for small
 /// instances and ground-truth testing (which is its purpose).
 pub fn pk_repairs(db: &Instance) -> Vec<Instance> {
-    let mut blocks: Vec<Vec<Fact>> = Vec::new();
-    for rel in db.populated_relations() {
-        for (_, facts) in db.blocks(rel) {
-            blocks.push(facts);
-        }
-    }
     let mut out = Vec::new();
-    let mut current: Vec<Fact> = Vec::new();
-    build(db, &blocks, 0, &mut current, &mut out);
+    visit_pk_repairs(db, |r| {
+        out.push(r.clone());
+        ControlFlow::<()>::Continue(())
+    });
     out
 }
 
-fn build(
+/// Visits the primary-key repairs of `db` one at a time, in the order of
+/// [`pk_repairs`], and stops at the first visit that breaks, returning its
+/// value. One repair instance is kept and edited in place (insert the chosen
+/// fact on the way down, remove it on the way back), so memory stays at one
+/// instance however many repairs there are.
+pub(crate) fn visit_pk_repairs<B>(
     db: &Instance,
+    mut visit: impl FnMut(&Instance) -> ControlFlow<B>,
+) -> Option<B> {
+    let mut repair = Instance::new(db.schema().clone());
+    walk(&blocks_of(db), &mut repair, &mut visit).break_value()
+}
+
+/// Every block of `db`, in canonical order (relations by name, blocks by
+/// key, facts sorted).
+pub(crate) fn blocks_of(db: &Instance) -> Vec<Vec<Fact>> {
+    db.populated_relations()
+        .flat_map(|rel| db.blocks(rel).into_iter().map(|(_, facts)| facts))
+        .collect()
+}
+
+fn walk<B>(
     blocks: &[Vec<Fact>],
-    idx: usize,
-    current: &mut Vec<Fact>,
-    out: &mut Vec<Instance>,
-) {
-    if idx == blocks.len() {
-        let mut r = Instance::new(db.schema().clone());
-        for f in current.iter() {
-            r.insert(f.clone()).expect("db fact");
-        }
-        out.push(r);
-        return;
+    repair: &mut Instance,
+    visit: &mut impl FnMut(&Instance) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let Some((block, rest)) = blocks.split_first() else {
+        return visit(repair);
+    };
+    for f in block {
+        repair.insert(f.clone()).expect("db fact");
+        let flow = walk(rest, repair, visit);
+        repair.remove(f).expect("db fact");
+        flow?;
     }
-    for f in &blocks[idx] {
-        current.push(f.clone());
-        build(db, blocks, idx + 1, current, out);
-        current.pop();
-    }
+    ControlFlow::Continue(())
 }
 
 /// The number of primary-key repairs (the product of block sizes).
 pub fn count_pk_repairs(db: &Instance) -> u128 {
-    let mut n: u128 = 1;
-    for rel in db.populated_relations() {
-        for (_, facts) in db.blocks(rel) {
-            n = n.saturating_mul(facts.len() as u128);
-        }
-    }
-    n
+    blocks_of(db)
+        .iter()
+        .fold(1, |n, b| n.saturating_mul(b.len() as u128))
 }
 
 /// `CERTAINTY(q)` by exhaustive repair enumeration: does every primary-key
 /// repair of `db` satisfy `q`?
 pub fn pk_certain(db: &Instance, q: &Query) -> bool {
-    let mut blocks: Vec<Vec<Fact>> = Vec::new();
-    for rel in db.populated_relations() {
-        for (_, facts) in db.blocks(rel) {
-            blocks.push(facts);
-        }
-    }
-    let mut current: Vec<Fact> = Vec::new();
     // Compile once; every enumerated repair reuses the compiled join.
     let cq = CompiledQuery::new(q);
-    all_satisfy(db, &cq, &blocks, 0, &mut current)
-}
-
-fn all_satisfy(
-    db: &Instance,
-    q: &CompiledQuery,
-    blocks: &[Vec<Fact>],
-    idx: usize,
-    current: &mut Vec<Fact>,
-) -> bool {
-    if idx == blocks.len() {
-        let mut r = Instance::new(db.schema().clone());
-        for f in current.iter() {
-            r.insert(f.clone()).expect("db fact");
+    visit_pk_repairs(db, |r| {
+        if cq.satisfies(r) {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
         }
-        return q.satisfies(&r);
-    }
-    for f in &blocks[idx] {
-        current.push(f.clone());
-        let ok = all_satisfy(db, q, blocks, idx + 1, current);
-        current.pop();
-        if !ok {
-            return false;
-        }
-    }
-    true
+    })
+    .is_none()
 }
 
 #[cfg(test)]

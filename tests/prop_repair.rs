@@ -36,8 +36,16 @@ proptest! {
         let q = cqa::model::parser::parse_query(&schema(), "R(x,y), S(y,z)").unwrap();
         let fks = FkSet::empty(schema());
         let oracle = CertaintyOracle::new();
-        let by_oracle = oracle.is_certain(&db, &q, &fks).as_bool();
-        prop_assert_eq!(by_oracle, Some(pk_certain(&db, &q)));
+        let outcome = oracle.is_certain(&db, &q, &fks);
+        prop_assert_eq!(outcome.as_bool(), Some(pk_certain(&db, &q)));
+        // The witness is the first repair, in enumeration order, that fails q.
+        let first_failing = pk_repairs(&db)
+            .into_iter()
+            .find(|r| !cqa::model::satisfies(r, &q));
+        match outcome {
+            OracleOutcome::NotCertain(witness) => prop_assert_eq!(Some(*witness), first_failing),
+            _ => prop_assert!(first_failing.is_none()),
+        }
     }
 
     #[test]
