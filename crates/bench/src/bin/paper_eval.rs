@@ -10,7 +10,7 @@ use cqa_bench::{fmt_duration, timed, Experiment, Report};
 use cqa_core::classify::Classification;
 use cqa_core::fk_types::{type_table, FkType};
 use cqa_core::flatten::flatten;
-use cqa_core::{block_interference, CertainEngine, Problem, Solver};
+use cqa_core::{block_interference, Problem, Route, Solver};
 use cqa_fo::eval::eval_closed;
 use cqa_gen::graphs::layered_dag;
 use cqa_gen::{bibliography_scenario, block_chain, BlockChainConfig};
@@ -428,15 +428,13 @@ fn e9_section8(report: &mut Report) {
     let q = parse_query(&s, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&s, "N[2] -> O").unwrap();
     let p = Problem::new(q, fks).unwrap();
-    let engine = match CertainEngine::try_new(p.clone()) {
-        Ok(e) => e,
-        Err(r) => {
-            report.push(Experiment::new("E9", "§8 rewriting", "in FO", r.to_string(), false));
-            return;
-        }
-    };
     let solver = Solver::new(p).expect("§8's problem is FO");
-    let formula = engine.formula().unwrap();
+    let Route::FoPlan(fo) = solver.route() else {
+        let route = solver.route().to_string();
+        report.push(Experiment::new("E9", "§8 rewriting", "in FO", route, false));
+        return;
+    };
+    let formula = flatten(fo.plan()).unwrap();
     let yes = parse_instance(&s, "N(c,a) N(c,b) O(a) P(a) P(b)").unwrap();
     let mut ok = solver.solve(&yes).is_certain() && eval_closed(&yes, &formula);
     for gone in ["P(a)", "P(b)"] {

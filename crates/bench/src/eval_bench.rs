@@ -46,9 +46,8 @@
 //! is unsatisfiable. The backtracking search degenerates to an O(n²)
 //! scan×scan nested loop; the semijoin pass filters each relation once
 //! over the columnar projection. Both strategies are pinned explicitly
-//! through [`cqa_model::CompiledQuery::satisfies_via`], so the row is
-//! independent of `CQA_EVALUATOR`; the acceptance target is ≥ 3× at the
-//! largest size.
+//! through [`cqa_model::CompiledQuery::satisfies_via`]; the acceptance
+//! target is ≥ 3× at the largest size.
 //!
 //! A sixth workload measures **serve-mode plan-cache amortization**: the
 //! same nested Lemma 45 problem answered (a) the per-request way — parse
@@ -563,7 +562,7 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
     // Yannakakis semijoin vs backtracking search on the acyclic non-key
     // join: disjoint `u`-value sets, so the query is unsatisfiable and the
     // backtracking side pays the full n² scan×scan loop. Both strategies
-    // are pinned per call, so the row is independent of `CQA_EVALUATOR`.
+    // are pinned per call.
     let js = Arc::new(parse_schema(ACYCLIC_JOIN_SCHEMA).unwrap());
     let jq = parse_query(&js, ACYCLIC_JOIN_QUERY).unwrap();
     let cq = CompiledQuery::new(&jq);

@@ -76,9 +76,9 @@ pub fn certain_answers(
     certain_answers_with(q, fks, free, db, &ExecOptions::default())
 }
 
-/// [`certain_answers`] under explicit [`ExecOptions`]: the candidate tuples
-/// shard across [`ExecOptions::width`] threads, so `CQA_THREADS` is not
-/// re-parsed per candidate batch.
+/// [`certain_answers`] under explicit [`ExecOptions`]: the parameterized
+/// plan is compiled with [`ExecOptions::join`], and the candidate tuples
+/// shard across [`ExecOptions::width`] threads.
 pub fn certain_answers_with(
     q: &Query,
     fks: &FkSet,
@@ -110,7 +110,9 @@ pub fn certain_answers_with(
         if let Ok(problem) = Problem::new(frozen, fks.clone()) {
             match classify(&problem) {
                 Classification::Fo(plan) => {
-                    if let Ok(compiled) = CompiledPlan::compile_parameterized(&plan, free) {
+                    if let Ok(compiled) =
+                        CompiledPlan::compile_parameterized_with(&plan, free, options.join)
+                    {
                         // Shard the candidate tuples across threads: each
                         // worker rebinds the parameter slots of the shared
                         // plan over read-only views of `db`. The verdict
@@ -169,6 +171,7 @@ pub fn certain_answers_with(
 mod tests {
     use super::*;
     use cqa_model::parser::{parse_fks, parse_instance, parse_query, parse_schema};
+    use cqa_model::JoinStrategy;
     use std::sync::Arc;
 
     #[test]
@@ -191,6 +194,17 @@ mod tests {
             [vec![Cst::new("d2")]].into_iter().collect(),
             "only d2 is certain"
         );
+        // The parameterized plan honours the caller's join strategy, and
+        // every strategy gives the same answers.
+        for join in [
+            JoinStrategy::Auto,
+            JoinStrategy::Backtracking,
+            JoinStrategy::Semijoin,
+        ] {
+            let options = ExecOptions::sequential().with_join(join);
+            let pinned = certain_answers_with(&q, &fks, &[Var::new("x")], &db, &options);
+            assert_eq!(pinned.unwrap(), answers, "join {join}");
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //!
 //! Compilation can fail ([`CompileError`]) in the rare case where the
 //! frozen residual problem falls outside the pipeline's invariants (the
-//! same cases where [`crate::flatten`] fails); callers such as
-//! [`crate::CertainEngine`] then fall back to the interpretive evaluator.
+//! same cases where [`crate::flatten`] fails); the [`crate::Solver`] then
+//! falls back to the interpretive evaluator.
 
 use crate::pipeline::{RewritePlan, StepAction, Tail};
 use crate::problem::Problem;
@@ -157,8 +157,7 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Compiles `plan` under the process-default join strategy
-    /// ([`JoinStrategy::from_env`]). Fails when a frozen residual problem
+    /// Compiles `plan` under [`JoinStrategy::Auto`]. Fails when a frozen residual problem
     /// cannot be rebuilt (the same cases where [`crate::flatten`] fails).
     pub fn compile(plan: &RewritePlan) -> Result<CompiledPlan, CompileError> {
         CompiledPlan::compile_parameterized(plan, &[])
@@ -183,7 +182,7 @@ impl CompiledPlan {
         plan: &RewritePlan,
         params: &[Var],
     ) -> Result<CompiledPlan, CompileError> {
-        CompiledPlan::compile_parameterized_with(plan, params, JoinStrategy::from_env())
+        CompiledPlan::compile_parameterized_with(plan, params, JoinStrategy::Auto)
     }
 
     /// The fully explicit compile entry point: parameters plus join

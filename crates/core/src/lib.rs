@@ -16,12 +16,11 @@
 //!   [`verdict::Verdict`]s;
 //! * [`classify::classify`] — Theorem 12: FO (with a constructed
 //!   [`pipeline::RewritePlan`]) vs. L-hard / NL-hard with witnesses;
-//! * [`engine::CertainEngine`] — the FO-only predecessor of the solver;
-//!   still the home of the flattened formula and SQL artifacts;
 //! * [`compiled_plan::CompiledPlan`] — the plan compiled once into a lazy,
 //!   view-backed sequential executor (zero intermediate database
 //!   materializations; the solver's FO hot path);
-//! * [`flatten`] — folds a plan into one closed first-order sentence.
+//! * [`flatten`] — folds a plan into one closed first-order sentence
+//!   (render it as SQL with `cqa_fo::to_sql`).
 //!
 //! Internal machinery, each mapped to its definition in the paper:
 //!
@@ -40,7 +39,6 @@ pub mod answers;
 pub mod classify;
 pub mod compiled_plan;
 pub mod depgraph;
-pub mod engine;
 pub mod fk_types;
 pub mod flatten;
 pub mod hardness;
@@ -55,7 +53,6 @@ pub use answers::{certain_answers, certain_answers_with, AnswerError};
 pub use classify::{classify, Classification, NotFoReason};
 pub use compiled_plan::{CompileError, CompiledPlan, ResidualCache};
 pub use depgraph::{fk_star, DepGraph};
-pub use engine::CertainEngine;
 pub use hardness::{lemma14_instance, lemma15_reduction};
 pub use interference::{block_interference, InterferenceWitness};
 pub use obedience::{atom_obedient, is_obedient_set, qfk_atoms};

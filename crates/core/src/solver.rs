@@ -3,11 +3,8 @@
 //!
 //! The paper's classification is a *trichotomy* in practice: a problem is
 //! FO-rewritable (Theorem 12 case 1), polynomial-time decidable through a
-//! combinatorial reduction (the Proposition 16/17 shapes), or hard — and
-//! the crate historically served only the first class, with
-//! [`crate::CertainEngine::try_new`] abandoning every caller it answered
-//! `Err` to. [`Solver`] closes the gap: [`SolverBuilder::build`] classifies
-//! **once** and compiles a [`Route`]:
+//! combinatorial reduction (the Proposition 16/17 shapes), or hard.
+//! [`SolverBuilder::build`] classifies **once** and compiles a [`Route`]:
 //!
 //! * [`Route::FoPlan`] — the consistent FO rewriting, executed through the
 //!   view-backed [`CompiledPlan`] (or the materializing interpreter when
@@ -106,10 +103,12 @@ const MIN_PARALLEL_UNITS: usize = 16;
 /// compiled-vs-materialized engine split, the join strategy and the
 /// oracle's search limits.
 ///
-/// `CQA_THREADS` and `CQA_EVALUATOR` are consulted exactly **once**, in
+/// `CQA_THREADS` is consulted exactly **once**, in
 /// [`ExecOptions::default`]; every later use of the options reads the
-/// resolved [`ExecOptions::threads`] and [`ExecOptions::join`] fields.
-/// (The pre-solver surfaces re-parsed the environment on every call.)
+/// resolved [`ExecOptions::threads`] field. The evaluator and join
+/// defaults are the constants [`Evaluator::Compiled`] and
+/// [`JoinStrategy::Auto`]; only Rust callers (the differential tests)
+/// pin anything else.
 ///
 /// ```
 /// use cqa_core::{ExecOptions, FallbackBudget};
@@ -136,22 +135,21 @@ pub struct ExecOptions {
     pub evaluator: Evaluator,
     /// How the compiled FO evaluator executes acyclic residual
     /// conjunctions: Yannakakis semijoin passes, backtracking search, or a
-    /// per-site cardinality heuristic ([`JoinStrategy::Auto`]). Resolved
-    /// from `CQA_EVALUATOR` once at construction, like
-    /// [`ExecOptions::threads`].
+    /// per-site cardinality heuristic ([`JoinStrategy::Auto`], the
+    /// default).
     pub join: JoinStrategy,
     /// Opt-in budget for the hard-class fallback route.
     pub fallback: FallbackBudget,
 }
 
 impl Default for ExecOptions {
-    /// Compiled evaluator, no fallback, environment-resolved width — the
-    /// one place `CQA_THREADS` is read.
+    /// Compiled evaluator, `auto` joins, no fallback, environment-resolved
+    /// width — the one place `CQA_THREADS` is read.
     fn default() -> ExecOptions {
         ExecOptions {
             threads: rayon_lite::current_num_threads(),
             evaluator: Evaluator::Compiled,
-            join: JoinStrategy::from_env(),
+            join: JoinStrategy::Auto,
             fallback: FallbackBudget::Deny,
         }
     }

@@ -105,10 +105,9 @@ pub struct CompiledFormula {
 }
 
 impl CompiledFormula {
-    /// Compiles `f` for `strategy`, with the join strategy taken from the
-    /// process default ([`JoinStrategy::from_env`]).
+    /// Compiles `f` for `strategy` under [`JoinStrategy::Auto`].
     pub fn compile(f: &Formula, strategy: Strategy) -> CompiledFormula {
-        CompiledFormula::compile_with(f, strategy, JoinStrategy::from_env())
+        CompiledFormula::compile_with(f, strategy, JoinStrategy::Auto)
     }
 
     /// Compiles `f` for `strategy` under an explicit [`JoinStrategy`].

@@ -13,7 +13,7 @@
 //! The module provides:
 //!
 //! * [`JoinStrategy`] — the `auto`/`backtracking`/`semijoin` execution
-//!   policy, environment-selectable via `CQA_EVALUATOR`;
+//!   policy (`auto` everywhere but the differential tests);
 //! * [`SemijoinPlan::build`] — GYO reduction over the atom hypergraph
 //!   (vertex elimination + ear removal with a parent witness), returning the
 //!   join forest or `None` when the conjunction is cyclic;
@@ -38,8 +38,6 @@ use crate::intern::Cst;
 use crate::view::FactSource;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// Which join algorithm executes a conjunction of positive atoms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,58 +51,6 @@ pub enum JoinStrategy {
     /// Semijoin whenever the conjunction is acyclic; cyclic conjunctions
     /// still fall back to backtracking (there is no semijoin plan to run).
     Semijoin,
-}
-
-impl JoinStrategy {
-    /// The process-wide default, read **once** from `CQA_EVALUATOR`
-    /// (`auto` | `backtracking` | `semijoin`; unset means
-    /// [`JoinStrategy::Auto`]). Mirrors how `CQA_THREADS` seeds the default
-    /// parallelism: one read, cached for the process lifetime. An
-    /// unparsable value (e.g. the `semijion` typo) falls back to `Auto`
-    /// **with a one-time warning on stderr** — it used to be silently
-    /// swallowed, which turned a typo into a quietly different evaluator.
-    /// Long-lived services that must refuse to start on a typo validate
-    /// with [`JoinStrategy::try_from_env`] instead.
-    pub fn from_env() -> JoinStrategy {
-        static CACHE: OnceLock<JoinStrategy> = OnceLock::new();
-        *CACHE.get_or_init(|| match JoinStrategy::try_from_env() {
-            Ok(strategy) => strategy.unwrap_or(JoinStrategy::Auto),
-            Err(msg) => {
-                eprintln!("warning: {msg}; defaulting to `auto`");
-                JoinStrategy::Auto
-            }
-        })
-    }
-
-    /// Strict read of `CQA_EVALUATOR`: `Ok(None)` when unset,
-    /// `Ok(Some(strategy))` when set to a valid value, `Err` when set but
-    /// unparsable. Never falls back — this is how `cqa serve` refuses to
-    /// start on invalid environment configuration instead of silently
-    /// degrading to [`JoinStrategy::Auto`].
-    pub fn try_from_env() -> Result<Option<JoinStrategy>, String> {
-        match std::env::var("CQA_EVALUATOR") {
-            Ok(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|e| format!("CQA_EVALUATOR: {e}")),
-            Err(_) => Ok(None),
-        }
-    }
-}
-
-impl FromStr for JoinStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<JoinStrategy, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(JoinStrategy::Auto),
-            "backtracking" => Ok(JoinStrategy::Backtracking),
-            "semijoin" => Ok(JoinStrategy::Semijoin),
-            other => Err(format!(
-                "unknown evaluator {other:?} (expected auto, backtracking or semijoin)"
-            )),
-        }
-    }
 }
 
 impl fmt::Display for JoinStrategy {
@@ -606,37 +552,5 @@ mod tests {
         let atoms = [atom("R", &[0, 1]), ground];
         assert!(is_acyclic(&atoms));
         assert!(SemijoinPlan::build(&atoms).is_some());
-    }
-
-    #[test]
-    fn strategy_parsing_round_trips() {
-        for s in [
-            JoinStrategy::Auto,
-            JoinStrategy::Backtracking,
-            JoinStrategy::Semijoin,
-        ] {
-            assert_eq!(s.to_string().parse::<JoinStrategy>().unwrap(), s);
-        }
-        assert!("nope".parse::<JoinStrategy>().is_err());
-    }
-
-    #[test]
-    fn unparsable_evaluator_is_an_error_not_a_silent_auto() {
-        // Regression: the `semijion` typo used to parse-fail into `Auto`
-        // with no trace. The FromStr error must name the offending value,
-        // and the strict env reader must surface it (rather than mapping
-        // it to `Ok(Some(Auto))`).
-        let err = "semijion".parse::<JoinStrategy>().unwrap_err();
-        assert!(err.contains("semijion"), "{err}");
-        assert!(err.contains("auto"), "error lists the valid values: {err}");
-        // In-process we cannot (safely) mutate the environment, but the CI
-        // matrix only ever pins valid values, so the strict reader must be
-        // Ok here whatever leg is running.
-        assert!(JoinStrategy::try_from_env().is_ok());
-        // And the valid values keep parsing case-insensitively.
-        assert_eq!(
-            " SemiJoin ".parse::<JoinStrategy>().unwrap(),
-            JoinStrategy::Semijoin
-        );
     }
 }

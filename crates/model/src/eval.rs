@@ -172,14 +172,13 @@ impl CompiledQuery {
         self.semijoin.as_ref()
     }
 
-    /// `db ⊨ q`, under the process-default [`JoinStrategy`]
-    /// ([`JoinStrategy::from_env`]).
+    /// `db ⊨ q`, under [`JoinStrategy::Auto`].
     pub fn satisfies(&self, db: &Instance) -> bool {
-        self.satisfies_via(db, JoinStrategy::from_env())
+        self.satisfies_via(db, JoinStrategy::Auto)
     }
 
-    /// `db ⊨ q` under an explicit join strategy — the in-process pin used
-    /// by the differential tests and benches regardless of `CQA_EVALUATOR`.
+    /// `db ⊨ q` under an explicit join strategy — the pin used by the
+    /// differential tests and benches.
     pub fn satisfies_via(&self, db: &Instance, join: JoinStrategy) -> bool {
         let mut b = self.base_binding(&Valuation::new());
         if let Some(plan) = self.route(db.index(), &b, join) {
@@ -193,10 +192,10 @@ impl CompiledQuery {
         found
     }
 
-    /// Finds a valuation extending `base` with `θ(q) ⊆ db`, under the
-    /// process-default [`JoinStrategy`].
+    /// Finds a valuation extending `base` with `θ(q) ⊆ db`, under
+    /// [`JoinStrategy::Auto`].
     pub fn find_with(&self, db: &Instance, base: &Valuation) -> Option<Valuation> {
-        self.find_with_via(db, base, JoinStrategy::from_env())
+        self.find_with_via(db, base, JoinStrategy::Auto)
     }
 
     /// Like [`CompiledQuery::find_with`] under an explicit join strategy.
@@ -271,7 +270,7 @@ impl CompiledQuery {
     /// work list are allocated once here and reused across every row of
     /// every block ([`AnchoredMatcher::matches`] allocates nothing).
     pub fn anchored_matcher(&self, anchor: usize, params: &[Cst]) -> AnchoredMatcher<'_> {
-        self.anchored_matcher_via(anchor, params, JoinStrategy::from_env())
+        self.anchored_matcher_via(anchor, params, JoinStrategy::Auto)
     }
 
     /// Like [`CompiledQuery::anchored_matcher`] under an explicit join

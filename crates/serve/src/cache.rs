@@ -12,10 +12,8 @@
 //! interner-backed and sorted — so `" N[3,1]  O[1,1] "` and `"O[1,1]
 //! N[3,1]"` hit the same entry. The key also folds in the **compiled**
 //! execution choices (evaluator, join strategy) because those are baked
-//! into the route at [`Solver`] build time and cannot be honored
-//! per-request on a shared solver (see `Solver::solve_with`): a client
-//! pinning `--evaluator semijoin` gets a plan compiled for semijoin, never
-//! a silently different cached one.
+//! into the route at [`Solver`] build time (see `Solver::solve_with`);
+//! the service always keys with its own defaults.
 //!
 //! A raw-text alias layer fronts the canonical map so that byte-identical
 //! request texts (the overwhelmingly common case for a service fed by one
@@ -297,8 +295,7 @@ mod tests {
     #[test]
     fn compiled_choices_are_part_of_the_key() {
         // A plan compiled for semijoin is NOT the plan compiled for
-        // backtracking — sharing them would silently override a client's
-        // pinned evaluator (the satellite-2 regression).
+        // backtracking: the key's compiled choices are the ones built.
         let cache = PlanCache::new(8);
         let opts = ExecOptions::sequential();
         let (a, _) = cache

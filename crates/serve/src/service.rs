@@ -7,7 +7,7 @@
 //! | op | fields | reply |
 //! |----|--------|-------|
 //! | `ping` | — | `{"ok":true,"pong":true}` |
-//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `materialized`, `budget` (optional) | verdict + provenance (below) |
+//! | `solve` | `schema`, `query`, `db` (required); `fks`, `budget` (optional) | verdict + provenance (below) |
 //! | `emit` | `schema`, `query`, `db` (required); `fks`, `format` (`"datalog"` \| `"sql"`, default `"datalog"`) (optional) | `{"ok":true,"format":…,"route":…,"goal":…,"artifact":…}` — the self-contained artifact text (see `cqa-emit`); reuses the same plan cache as `solve` |
 //! | `metrics` | — | `{"ok":true,"metrics":{…}}` (see [`crate::MetricsRegistry::snapshot`]) |
 //! | `shutdown` | — | `{"ok":true,"shutdown":true}`; the accept loop then drains and exits |
@@ -18,9 +18,13 @@
 //!
 //! ```json
 //! {"ok":true,"certainty":"certain","backend":"compiled plan",
-//!  "cache":"hit","evaluator":"compiled","join":"semijoin",
+//!  "cache":"hit","evaluator":"compiled","join":"auto",
 //!  "elapsed_us":42}
 //! ```
+//!
+//! `evaluator` and `join` always report the server's defaults
+//! ([`ExecOptions::default`]: `compiled`, `auto`); requests cannot pick
+//! them.
 //!
 //! Errors are `{"ok":false,"error":"…"}`; admission-control refusals add
 //! `"rejected":true` so clients can distinguish "resize your request"
@@ -30,11 +34,8 @@
 //! ## Per-request options
 //!
 //! Each request resolves its own [`ExecOptions`] from the server defaults
-//! plus its optional fields — after startup the serve loop never consults
-//! the process environment again. The **compiled** choices (`evaluator`,
-//! `materialized`) are part of the plan-cache key, so a client pinning an
-//! evaluator can never be handed a plan compiled for a different one; the
-//! **runtime** choice (`budget`) is passed to
+//! plus its optional `budget` — after startup the serve loop never
+//! consults the process environment again. The budget is passed to
 //! [`cqa_core::Solver::solve_with`] per call on the shared cached solver.
 //! A solve runs on its connection's worker thread; parallelism comes from
 //! serving connections concurrently.
@@ -47,17 +48,18 @@
 //! an immediate `rejected` reply — the server's latency profile is
 //! protected by never starting work it already knows it cannot finish.
 
-use crate::cache::{Lookup, PlanCache, RawKey};
+use crate::cache::{CachedPlan, Lookup, PlanCache, RawKey};
 use crate::metrics::MetricsRegistry;
 use cqa_core::solver::{Evaluator, ExecOptions, FallbackBudget, Route};
 use cqa_core::Certainty;
 use cqa_emit::{Format, SolverEmitExt};
 use cqa_model::parser::parse_instance;
-use cqa_model::JoinStrategy;
+use cqa_model::Instance;
 use cqa_repair::{CertaintyOracle, SearchLimits};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Server-level configuration, fixed at startup.
 #[derive(Clone, Copy, Debug)]
@@ -184,7 +186,13 @@ impl Service {
         }
     }
 
-    fn handle_solve(&self, request: &Value) -> Result<String, SolveRefusal> {
+    /// The cached plan for a `solve`/`emit` request and its parsed,
+    /// admitted database. The cache key carries the server's compiled
+    /// defaults, so both ops for one problem share one entry.
+    fn plan_and_db(
+        &self,
+        request: &Value,
+    ) -> Result<(Arc<CachedPlan>, Lookup, Instance), SolveRefusal> {
         let field = |name: &str| -> Result<String, SolveRefusal> {
             request
                 .get(name)
@@ -192,51 +200,18 @@ impl Service {
                 .map(str::to_string)
                 .ok_or_else(|| SolveRefusal::Error(format!("missing string field {name:?}")))
         };
-        let schema_text = field("schema")?;
-        let query_text = field("query")?;
-        let db_text = field("db")?;
-        let fks_text = request
-            .get("fks")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-
-        // Per-request execution options over the server defaults. The
-        // environment is NOT consulted here: `defaults` was resolved once
-        // at startup, and everything else comes from the request.
-        let mut options = self.config.defaults;
-        let mut join = options.join;
-        if let Some(ev) = request.get("evaluator") {
-            let text = ev
-                .as_str()
-                .ok_or_else(|| SolveRefusal::Error("evaluator must be a string".to_string()))?;
-            join = text
-                .parse::<JoinStrategy>()
-                .map_err(SolveRefusal::Error)?;
-            options = options.with_join(join);
-        }
-        if let Some(m) = request.get("materialized") {
-            let m = m
-                .as_bool()
-                .ok_or_else(|| SolveRefusal::Error("materialized must be a boolean".to_string()))?;
-            if m {
-                options.evaluator = Evaluator::Materialized;
-            }
-        }
-        if let Some(b) = request.get("budget") {
-            let b = b
-                .as_u64()
-                .ok_or_else(|| SolveRefusal::Error("budget must be a non-negative integer".to_string()))?;
-            options = options.with_fallback(SearchLimits::budgeted(b));
-        }
-
         let raw_key = RawKey {
-            schema: schema_text,
-            query: query_text,
-            fks: fks_text,
-            evaluator: options.evaluator,
-            join,
+            schema: field("schema")?,
+            query: field("query")?,
+            fks: request
+                .get("fks")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string(),
+            evaluator: self.config.defaults.evaluator,
+            join: self.config.defaults.join,
         };
+        let db_text = field("db")?;
         let (plan, lookup) = self
             .cache
             .get_or_build(&raw_key, &self.config.defaults)
@@ -245,7 +220,6 @@ impl Service {
 
         let db = parse_instance(&plan.schema, &db_text)
             .map_err(|e| SolveRefusal::Error(format!("db: {e}")))?;
-
         // Admission control: refuse work we already know we cannot (or
         // should not) finish, instead of queueing it.
         if let Some(cap) = self.config.max_facts {
@@ -256,6 +230,22 @@ impl Service {
                 )));
             }
         }
+        Ok((plan, lookup, db))
+    }
+
+    fn handle_solve(&self, request: &Value) -> Result<String, SolveRefusal> {
+        // Per-request execution options over the server defaults. The
+        // environment is NOT consulted here: `defaults` was resolved once
+        // at startup, and the budget comes from the request.
+        let mut options = self.config.defaults;
+        if let Some(b) = request.get("budget") {
+            let b = b
+                .as_u64()
+                .ok_or_else(|| SolveRefusal::Error("budget must be a non-negative integer".to_string()))?;
+            options = options.with_fallback(SearchLimits::budgeted(b));
+        }
+        let (plan, lookup, db) = self.plan_and_db(request)?;
+
         if let Route::Fallback(_) = plan.solver.route() {
             let limits = match options.fallback {
                 FallbackBudget::Allow(limits) => limits,
@@ -322,21 +312,6 @@ impl Service {
     /// an emit after a solve of the same problem is a cache hit — and its
     /// fact-ceiling admission control (the artifact embeds every fact).
     fn handle_emit(&self, request: &Value) -> Result<String, SolveRefusal> {
-        let field = |name: &str| -> Result<String, SolveRefusal> {
-            request
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| SolveRefusal::Error(format!("missing string field {name:?}")))
-        };
-        let schema_text = field("schema")?;
-        let query_text = field("query")?;
-        let db_text = field("db")?;
-        let fks_text = request
-            .get("fks")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
         let format = match request.get("format") {
             None => Format::Datalog,
             Some(f) => f
@@ -345,33 +320,7 @@ impl Service {
                 .parse::<Format>()
                 .map_err(SolveRefusal::Error)?,
         };
-
-        // Emission ignores the runtime evaluator knobs, but the cache key
-        // carries the server defaults so emit and solve requests for the
-        // same problem share one entry.
-        let raw_key = RawKey {
-            schema: schema_text,
-            query: query_text,
-            fks: fks_text,
-            evaluator: self.config.defaults.evaluator,
-            join: self.config.defaults.join,
-        };
-        let (plan, lookup) = self
-            .cache
-            .get_or_build(&raw_key, &self.config.defaults)
-            .map_err(SolveRefusal::Error)?;
-        self.metrics.record_cache(lookup == Lookup::Hit);
-
-        let db = parse_instance(&plan.schema, &db_text)
-            .map_err(|e| SolveRefusal::Error(format!("db: {e}")))?;
-        if let Some(cap) = self.config.max_facts {
-            if db.len() > cap {
-                return Err(SolveRefusal::Rejected(format!(
-                    "database has {} facts, over the admission ceiling of {cap}",
-                    db.len()
-                )));
-            }
-        }
+        let (plan, lookup, db) = self.plan_and_db(request)?;
 
         let artifact = plan
             .solver
@@ -471,52 +420,26 @@ mod tests {
     }
 
     #[test]
-    fn request_pinned_evaluator_is_honored_not_overridden() {
-        // Satellite regression: the server's cached default must never
-        // override a client's pinned evaluator. Server default is
-        // backtracking; the request pins semijoin and must get a plan
-        // compiled for semijoin.
-        let s = Service::new(ServeConfig {
-            defaults: ExecOptions::sequential().with_join(JoinStrategy::Backtracking),
-            cache_capacity: 8,
-            max_facts: None,
-        });
-        let default_reply =
-            serde_json::from_str(&s.handle_line(&solve_line("N(c,a) O(a) P(a)", ""))).unwrap();
-        assert_eq!(
-            default_reply.get("join").and_then(Value::as_str),
-            Some("backtracking")
-        );
-        let pinned = serde_json::from_str(&s.handle_line(&solve_line(
-            "N(c,a) O(a) P(a)",
-            r#","evaluator":"semijoin""#,
-        )))
-        .unwrap();
-        assert_eq!(pinned.get("ok").and_then(Value::as_bool), Some(true), "{pinned:?}");
-        assert_eq!(pinned.get("join").and_then(Value::as_str), Some("semijoin"));
-        // Different compiled choice ⇒ different cache entry, same verdict.
-        assert_eq!(pinned.get("cache").and_then(Value::as_str), Some("miss"));
-        assert_eq!(pinned.get("certainty").and_then(Value::as_str), Some("certain"));
-        // And a materialized request gets the interpretive evaluator.
-        let mat = serde_json::from_str(&s.handle_line(&solve_line(
-            "N(c,a) O(a) P(a)",
-            r#","materialized":true"#,
-        )))
-        .unwrap();
-        assert_eq!(mat.get("evaluator").and_then(Value::as_str), Some("materialized"));
-        assert_eq!(mat.get("backend").and_then(Value::as_str), Some("materialized plan"));
-    }
-
-    #[test]
     fn legacy_threads_field_is_ignored() {
-        // Older clients sent a per-request "threads" width; the field no
-        // longer means anything and must not turn a solve into an error.
+        // Older clients sent a per-request "threads" width, an "evaluator"
+        // join pin or a "materialized" flag; none of them means anything
+        // now, and each must get the reply a request without it gets.
         let s = service();
-        let reply =
-            serde_json::from_str(&s.handle_line(&solve_line("N(c,a) O(a) P(a)", r#","threads":4"#)))
+        let reply = |extra: &str| {
+            let mut v = serde_json::from_str(&s.handle_line(&solve_line("N(c,a) O(a) P(a)", extra)))
                 .unwrap();
-        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{reply:?}");
-        assert_eq!(reply.get("certainty").and_then(Value::as_str), Some("certain"));
+            if let Value::Object(map) = &mut v {
+                map.remove("elapsed_us");
+            }
+            v
+        };
+        reply(""); // the miss that builds the plan
+        let plain = reply("");
+        assert_eq!(plain.get("certainty").and_then(Value::as_str), Some("certain"));
+        assert_eq!(plain.get("join").and_then(Value::as_str), Some("auto"));
+        for extra in [r#","threads":4"#, r#","evaluator":"semijoin""#, r#","materialized":true"#] {
+            assert_eq!(reply(extra), plain, "{extra}");
+        }
     }
 
     #[test]

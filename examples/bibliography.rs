@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example bibliography`
 
+use cqa::core::flatten::flatten;
 use cqa::prelude::*;
 use cqa_gen::bibliography::scaled_bibliography;
 
@@ -25,7 +26,6 @@ fn main() {
     );
 
     let problem = Problem::new(bib.query.clone(), bib.fks.clone()).unwrap();
-    let engine = CertainEngine::try_new(problem.clone()).expect("q0 is FO-rewritable");
     let solver = Solver::new(problem).expect("q0 is FO-rewritable");
 
     let verdict = solver.solve(&bib.db);
@@ -43,7 +43,11 @@ fn main() {
     println!("…and ⊕-repairs with foreign keys are more numerous still.");
 
     // The rewriting as SQL, ready for a relational engine.
-    let (ddl, expr) = engine.sql().unwrap();
+    let Route::FoPlan(fo) = solver.route() else {
+        unreachable!("q0 is FO-rewritable")
+    };
+    let formula = flatten(fo.plan()).unwrap();
+    let (ddl, expr) = cqa::fo::to_sql(bib.query.schema(), &formula).unwrap();
     println!("\n-- SQL deployment artifact --------------------------------");
     println!("{ddl}");
     let shown: String = expr.chars().take(240).collect();

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example rewriting_inspector`
 
+use cqa::core::flatten::flatten;
 use cqa::prelude::*;
 use std::sync::Arc;
 
@@ -17,12 +18,14 @@ fn main() {
     let q = parse_query(&schema, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&schema, "N[2] -> O").unwrap();
     let problem = Problem::new(q, fks).unwrap();
-    let engine = CertainEngine::try_new(problem.clone()).unwrap();
     let solver = Solver::new(problem).unwrap();
+    let Route::FoPlan(fo) = solver.route() else {
+        unreachable!("§8's query is FO-rewritable")
+    };
 
     println!("━━━ §8 worked example");
-    println!("{engine}");
-    let formula = engine.formula().unwrap();
+    println!("{}", fo.plan());
+    let formula = flatten(fo.plan()).unwrap();
     println!("\nflattened rewriting: {formula}");
     println!("paper's rewriting  : ∃y (N(c,y) ∧ O(y)) ∧ ∀y (N(c,y) → P(y))");
 
@@ -39,7 +42,7 @@ fn main() {
         println!("  … without {gone} → {}", solver.solve(&smaller).is_certain());
     }
 
-    let (ddl, expr) = engine.sql().unwrap();
+    let (ddl, expr) = cqa::fo::to_sql(&schema, &formula).unwrap();
     println!("\nSQL rendering:\n{ddl}\nSELECT CASE WHEN {expr} THEN 'certain' ELSE 'not certain' END;");
 
     // ── A pipeline featuring several lemmas ──────────────────────────────
@@ -53,10 +56,7 @@ fn main() {
     match problem2.classify() {
         Classification::Fo(plan) => {
             println!("{plan}");
-            println!(
-                "\nflattened: {}",
-                cqa::core::flatten::flatten(&plan).unwrap()
-            );
+            println!("\nflattened: {}", flatten(&plan).unwrap());
         }
         Classification::NotFo(r) => println!("not in FO: {r}"),
     }

@@ -31,20 +31,17 @@
 //! `solve` routes the problem to its best backend (compiled FO plan,
 //! dual-Horn / reachability poly-time solver, or — with
 //! `--fallback-budget N` — the budgeted exhaustive oracle) and prints the
-//! verdict with provenance. `--materialized` forces the interpretive FO
-//! evaluator; `--evaluator auto|backtracking|semijoin` pins how acyclic
-//! residual conjunctions execute (otherwise `CQA_EVALUATOR`, resolved
-//! once).
+//! verdict with provenance.
 //!
 //! `serve` runs the persistent solver service (`cqa_serve`): a
 //! line-delimited JSON protocol on `--socket PATH` (Unix domain) or
 //! `--tcp ADDR`, with an LRU plan cache (`--cache N` entries), admission
 //! control (`--max-facts N`; hard-class requests must carry a budget) and
 //! a metrics dump on shutdown (`--metrics-out PATH`). Unlike every other
-//! command, `serve` validates `CQA_THREADS`/`CQA_EVALUATOR` **strictly**
-//! at startup and refuses to start on unparsable values — a long-lived
-//! server must not silently degrade to defaults; `CQA_THREADS` sets its
-//! worker slots. `request` is the matching one-shot client:
+//! command, `serve` validates `CQA_THREADS` **strictly** at startup and
+//! refuses to start on an unparsable value — a long-lived server must not
+//! silently degrade to defaults; `CQA_THREADS` sets its worker slots.
+//! `request` is the matching one-shot client:
 //! `--op ping|solve|emit|metrics|shutdown` (with the usual problem flags),
 //! or a raw protocol line via `--line JSON`.
 //!
@@ -60,7 +57,7 @@
 //! | 1 | no / not certain (`classify`: not in FO) |
 //! | 2 | usage or input error (including `serve` env-validation refusal) |
 //! | 3 | inconclusive (fallback budget exhausted) or request rejected by admission control |
-//! | 4 | `answer`: the problem is **not FO-rewritable** — the query/FK pair is the wrong shape for `answer`, use `solve`. `emit`: the problem routes only to the budgeted oracle, so **no polynomial-size artifact exists**. Distinct from 1 so scripts can tell "the answer is no" from "wrong tool / no artifact". |
+//! | 4 | `answer`, `sql`: the problem is **not FO-rewritable** — the query/FK pair is the wrong shape for the command, use `solve`. `emit`: the problem routes only to the budgeted oracle, so **no polynomial-size artifact exists**. Distinct from 1 so scripts can tell "the answer is no" from "wrong tool / no artifact". |
 
 use cqa::core::flatten::flatten;
 use cqa::prelude::*;
@@ -80,8 +77,6 @@ struct Args {
     out: Option<String>,
     execute: bool,
     fallback_budget: Option<u64>,
-    evaluator: Option<JoinStrategy>,
-    materialized: bool,
     // serve / request flags
     socket: Option<String>,
     tcp: Option<String>,
@@ -109,8 +104,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         execute: false,
         fallback_budget: None,
-        evaluator: None,
-        materialized: false,
         socket: None,
         tcp: None,
         cache: None,
@@ -121,10 +114,6 @@ fn parse_args() -> Result<Args, String> {
         line: None,
     };
     while let Some(flag) = argv.next() {
-        if flag == "--materialized" {
-            args.materialized = true;
-            continue;
-        }
         if flag == "--execute" {
             args.execute = true;
             continue;
@@ -145,9 +134,6 @@ fn parse_args() -> Result<Args, String> {
             "--fallback-budget" => {
                 args.fallback_budget =
                     Some(value.parse().map_err(|e| format!("--fallback-budget: {e}"))?)
-            }
-            "--evaluator" => {
-                args.evaluator = Some(value.parse().map_err(|e| format!("--evaluator: {e}"))?)
             }
             "--socket" => args.socket = Some(value),
             "--tcp" => args.tcp = Some(value),
@@ -172,16 +158,15 @@ fn usage() -> String {
      --schema \"R[2,1] …\" --query \"R(x,y), …\" [--fks \"R[2] -> S, …\"] \
      [--db facts.txt | --db-text \"R(a,1) …\"] \
      [--problem file.problem] [--fixture NAME|list] [--datalog artifact.dl] \
-     [--fallback-budget N] [--evaluator auto|backtracking|semijoin] \
-     [--materialized]\n\
+     [--fallback-budget N]\n\
      emit:    --format datalog|sql  [--out PATH] [--execute]  \
      (self-contained artifact; exit 4 when only the oracle route exists)\n\
      serve:   --socket PATH | --tcp ADDR  [--cache N] [--max-facts N] [--metrics-out PATH] \
-     (refuses to start on invalid CQA_THREADS/CQA_EVALUATOR)\n\
+     (refuses to start on invalid CQA_THREADS)\n\
      request: --socket PATH | --tcp ADDR  [--op ping|solve|emit|metrics|shutdown] \
      [--line '{\"op\":…}']\n\
      exit codes: 0 yes/certain · 1 no/not-certain · 2 usage or input error · \
-     3 inconclusive or rejected · 4 not-FO (answer) / no artifact (emit)"
+     3 inconclusive or rejected · 4 not-FO (answer, sql) / no artifact (emit)"
         .to_string()
 }
 
@@ -193,9 +178,9 @@ enum Outcome {
     No,
     /// Budget exhausted or request rejected by admission control — exit 3.
     Inconclusive,
-    /// `cqa answer` only: the problem is not FO-rewritable, so `answer`
-    /// is the wrong tool (use `cqa solve`) — exit 4, distinct from the
-    /// "certain no" exit 1.
+    /// `cqa answer`/`cqa sql`: the problem is not FO-rewritable, so the
+    /// command is the wrong tool (use `cqa solve`); `cqa emit`: no
+    /// artifact exists — exit 4, distinct from the "certain no" exit 1.
     NotFo,
 }
 
@@ -324,26 +309,18 @@ fn problem_inputs(args: &Args) -> Result<(String, String, String, Option<String>
     ))
 }
 
-/// `cqa serve`: the persistent solver service. Validates the environment
-/// **strictly** before binding — a long-lived server that silently mapped
-/// `CQA_EVALUATOR=semijion` to `Auto` would serve every request with the
-/// wrong evaluator until someone noticed; refusing to start is the only
-/// honest behavior.
+/// `cqa serve`: the persistent solver service. Validates `CQA_THREADS`
+/// **strictly** before binding — a long-lived server that silently
+/// degraded a typo to the default width would run mis-sized until someone
+/// noticed; refusing to start is the only honest behavior.
 fn run_serve(args: &Args) -> Result<Outcome, String> {
-    // Strict env validation (exit 2 on failure). The lenient, warn-once
-    // readers used by `ExecOptions::default()` resolve the same values
-    // once these checks pass.
+    // Strict env validation (exit 2 on failure). The lenient reader used
+    // by `ExecOptions::default()` resolves the same value once this check
+    // passes.
     rayon_lite::env_threads().map_err(|e| format!("refusing to serve: {e}"))?;
-    let env_join = JoinStrategy::try_from_env().map_err(|e| format!("refusing to serve: {e}"))?;
 
     let endpoint = cqa::serve::Endpoint::from_flags(args.socket.as_deref(), args.tcp.as_deref())?;
     let mut defaults = ExecOptions::default();
-    if let Some(join) = args.evaluator.or(env_join) {
-        defaults = defaults.with_join(join);
-    }
-    if args.materialized {
-        defaults.evaluator = Evaluator::Materialized;
-    }
     if let Some(budget) = args.fallback_budget {
         defaults = defaults.with_fallback(SearchLimits::budgeted(budget));
     }
@@ -403,12 +380,6 @@ fn run_request(args: &Args) -> Result<Outcome, String> {
                 );
                 fields.insert("fks".to_string(), Value::String(args.fks.clone()));
                 fields.insert("db".to_string(), Value::String(db_text));
-                if let Some(join) = args.evaluator {
-                    fields.insert("evaluator".to_string(), Value::String(join.to_string()));
-                }
-                if args.materialized {
-                    fields.insert("materialized".to_string(), Value::Bool(true));
-                }
                 if let Some(b) = args.fallback_budget {
                     fields.insert("budget".to_string(), Value::Number(b as f64));
                 }
@@ -494,20 +465,23 @@ fn run() -> Result<Outcome, String> {
             }
         },
         "sql" => {
-            let engine = CertainEngine::try_new(problem).map_err(|r| r.to_string())?;
-            let (ddl, expr) = engine.sql().map_err(|e| e.to_string())?;
+            let plan = match problem.classify() {
+                Classification::Fo(plan) => plan,
+                Classification::NotFo(reason) => {
+                    eprintln!(
+                        "not FO-rewritable ({reason}); no SQL rewriting exists, use `cqa solve`"
+                    );
+                    return Ok(Outcome::NotFo);
+                }
+            };
+            let f = flatten(&plan).map_err(|e| e.to_string())?;
+            let (ddl, expr) = cqa::fo::to_sql(&schema, &f).map_err(|e| e.to_string())?;
             println!("{ddl}");
             println!("SELECT CASE WHEN {expr} THEN 1 ELSE 0 END AS certain;");
             Ok(Outcome::Yes)
         }
         "solve" => {
             let mut options = ExecOptions::default();
-            if let Some(join) = args.evaluator {
-                options = options.with_join(join);
-            }
-            if args.materialized {
-                options.evaluator = Evaluator::Materialized;
-            }
             if let Some(budget) = args.fallback_budget {
                 options = options.with_fallback(SearchLimits::budgeted(budget));
             }
@@ -601,11 +575,7 @@ fn run() -> Result<Outcome, String> {
             // need to tell those apart.
             let not_fo = "use `cqa solve` (with --fallback-budget for the hard class) \
                           or `cqa oracle` for small instances";
-            let mut options = ExecOptions::default();
-            if let Some(join) = args.evaluator {
-                options = options.with_join(join);
-            }
-            let solver = match Solver::builder(problem).options(options).build() {
+            let solver = match Solver::new(problem) {
                 Ok(solver) => solver,
                 Err(r) => {
                     eprintln!("not FO-rewritable ({r}); {not_fo}");

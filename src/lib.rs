@@ -57,7 +57,6 @@ pub mod prelude {
     pub use cqa_core::{
         classify::{Classification, NotFoReason},
         compiled_plan::{CompileError, CompiledPlan},
-        engine::CertainEngine,
         pipeline::RewritePlan,
         problem::Problem,
         solver::{

@@ -1,9 +1,8 @@
 //! CLI exit-code contract, driven through the real binary
-//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer`, inline
-//! `--db-text` databases, and
-//! `cqa serve`'s strict refusal to start on invalid `CQA_THREADS` /
-//! `CQA_EVALUATOR` — via subprocess environments, never in-process
-//! `set_var`.
+//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer` and
+//! `cqa sql`, inline `--db-text` databases, and `cqa serve`'s strict
+//! refusal to start on an invalid `CQA_THREADS` — via subprocess
+//! environments, never in-process `set_var`.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -107,20 +106,9 @@ fn db_text_is_an_inline_database_for_every_db_command() {
 
 #[test]
 fn serve_refuses_invalid_env_instead_of_degrading() {
-    // `cqa solve` tolerates a typo'd CQA_EVALUATOR (warn once, default to
-    // auto) — but a long-lived server must not: `cqa serve` validates
-    // strictly and exits 2 before binding anything.
-    let refused = cqa()
-        .arg("serve")
-        .args(["--socket", "/tmp/cqa-never-bound.sock"])
-        .env("CQA_EVALUATOR", "semijion")
-        .output()
-        .unwrap();
-    assert_eq!(refused.status.code(), Some(2), "typo'd evaluator refused");
-    let stderr = String::from_utf8_lossy(&refused.stderr);
-    assert!(stderr.contains("refusing to serve"), "{stderr}");
-    assert!(stderr.contains("semijion"), "names the bad value: {stderr}");
-
+    // A long-lived server must not silently degrade a bad CQA_THREADS to
+    // the default width: `cqa serve` validates strictly and exits 2
+    // before binding anything.
     let refused = cqa()
         .arg("serve")
         .args(["--socket", "/tmp/cqa-never-bound.sock"])
@@ -143,26 +131,29 @@ fn serve_refuses_invalid_env_instead_of_degrading() {
 }
 
 #[test]
-fn solve_warns_once_on_typod_evaluator_but_still_runs() {
-    // The non-serve commands keep the lenient path — but it must WARN
-    // instead of silently mapping the typo to `auto` (the old behavior
-    // made `CQA_EVALUATOR=semijion` benchmarks silently measure the wrong
-    // evaluator).
-    let db = write_db("warn", "N(c,a) O(a) P(a)");
-    let out = cqa()
-        .arg("solve")
-        .args(FO)
-        .args(["--db", db.to_str().unwrap()])
-        .env("CQA_EVALUATOR", "semijion")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "lenient path still answers");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("warning") && stderr.contains("semijion"),
-        "one-time warning names the bad value: {stderr}"
-    );
-    let _ = std::fs::remove_file(db);
+fn sql_exits_4_on_a_valid_non_fo_problem() {
+    // Regression: these exited 2, the code for malformed invocations. The
+    // problems are valid; `sql` is just the wrong tool for their class.
+    let nl_hard: &[&str] = &[
+        "--schema",
+        "N[3,1] O[1,1]",
+        "--query",
+        "N(x,'c',y), O(y)",
+        "--fks",
+        "N[3] -> O",
+    ];
+    let pk_cycle: &[&str] = &["--schema", "R[2,1] S[2,1]", "--query", "R(x,y), S(y,x)"];
+    let cases: [(&[&str], i32, &str); 3] = [
+        (&FO, 0, "SELECT CASE WHEN"),
+        (nl_hard, 4, "NL-hard"),
+        (pk_cycle, 4, "L-hard"),
+    ];
+    for (problem, code, says) in cases {
+        let out = cqa().arg("sql").args(problem).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "sql {problem:?}: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains(says), "sql {problem:?}: {text}");
+    }
 }
 
 #[test]

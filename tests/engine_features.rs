@@ -1,9 +1,10 @@
 //! Integration tests for the user-facing features layered on the core
-//! library: the certain-answers API, batched solving, the engine's SQL
-//! emission, formula statistics, and the repair-counting module's
-//! relationship to certainty.
+//! library: the certain-answers API, batched solving, SQL rendering of
+//! the flattened rewriting, formula statistics, and the repair-counting
+//! module's relationship to certainty.
 
 use cqa::core::certain_answers;
+use cqa::core::flatten::flatten;
 use cqa::fo::stats;
 use cqa::prelude::*;
 use cqa_repair::{exact_satisfaction_ratio, sampled_satisfaction_ratio};
@@ -197,8 +198,10 @@ fn engine_sql_mentions_every_relation() {
     let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
     let q = parse_query(&s, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&s, "N[2] -> O").unwrap();
-    let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
-    let (ddl, expr) = engine.sql().unwrap();
+    let Classification::Fo(plan) = Problem::new(q, fks).unwrap().classify() else {
+        panic!("§8's query is FO")
+    };
+    let (ddl, expr) = cqa::fo::to_sql(&s, &flatten(&plan).unwrap()).unwrap();
     for rel in ["N", "O", "P"] {
         assert!(ddl.contains(&format!("FROM {rel}")), "DDL misses {rel}");
         assert!(expr.contains(&format!("FROM {rel}")), "WHERE misses {rel}");

@@ -7,7 +7,8 @@
 //! This is the strongest correctness signal in the workspace: four
 //! independent implementations of `CERTAINTY(q, FK)` (materializing paper
 //! pipeline, compiled lazy-view pipeline, flattened FO formula, brute-force
-//! repair search) computed four different ways.
+//! repair search) computed four different ways. The compiled plan runs
+//! under each [`JoinStrategy`].
 
 use cqa::core::compiled_plan::CompiledPlan;
 use cqa::core::flatten::flatten;
@@ -167,13 +168,19 @@ fn rewriting_matches_oracle_on_random_instances() {
         let formula = flatten(&plan)
             .unwrap_or_else(|e| panic!("{}: flatten failed: {e}", case.name));
         assert!(formula.is_closed(), "{}: open formula {formula}", case.name);
-        let compiled = CompiledPlan::compile(&plan)
-            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", case.name));
+        let joins = [
+            JoinStrategy::Auto,
+            JoinStrategy::Backtracking,
+            JoinStrategy::Semijoin,
+        ];
+        let compiled = joins.map(|join| {
+            CompiledPlan::compile_with(&plan, join)
+                .unwrap_or_else(|e| panic!("{}: compile ({join}) failed: {e}", case.name))
+        });
 
         for round in 0..60 {
             let db = random_instance(&schema, case.rels, &mut rng, 7);
             let by_plan = plan.answer(&db);
-            let by_compiled = compiled.answer(&db);
             let by_formula_guarded =
                 eval_with(&db, &formula, &Valuation::new(), Strategy::Guarded);
             let by_formula_naive = eval_with(&db, &formula, &Valuation::new(), Strategy::Naive);
@@ -182,11 +189,14 @@ fn rewriting_matches_oracle_on_random_instances() {
                 "{} round {round}: evaluator strategies disagree on {db} for {formula}",
                 case.name
             );
-            assert_eq!(
-                by_plan, by_compiled,
-                "{} round {round}: materializing plan vs compiled plan on {db}",
-                case.name
-            );
+            for (join, compiled) in joins.iter().zip(&compiled) {
+                assert_eq!(
+                    by_plan,
+                    compiled.answer(&db),
+                    "{} round {round}: materializing plan vs compiled plan ({join} join) on {db}",
+                    case.name
+                );
+            }
             assert_eq!(
                 by_plan, by_formula_guarded,
                 "{} round {round}: plan vs flattened formula on {db}\nformula: {formula}",

@@ -13,6 +13,8 @@
 //!   `N(⃗c, ⃗t)` must short-circuit to "not certain" on both paths;
 //! * **dangling facts and multi-fact blocks** — exercising the Lemma 37/40
 //!   block filters and the non-dangling witness test through the view.
+//!
+//! Every case runs the compiled plan under each [`JoinStrategy`].
 
 use cqa::core::compiled_plan::CompiledPlan;
 use cqa::prelude::*;
@@ -57,7 +59,14 @@ const FILTERED: Family = Family {
     rels: &[("N", 2), ("O", 2), ("Q", 1)],
 };
 
-fn build(family: &Family) -> (RewritePlan, CompiledPlan, Arc<Schema>) {
+const JOINS: [JoinStrategy; 3] = [
+    JoinStrategy::Auto,
+    JoinStrategy::Backtracking,
+    JoinStrategy::Semijoin,
+];
+
+/// The family's plan, compiled once per [`JOINS`] entry.
+fn build(family: &Family) -> (RewritePlan, [CompiledPlan; 3], Arc<Schema>) {
     let schema = Arc::new(parse_schema(family.schema).unwrap());
     let q = parse_query(&schema, family.query).unwrap();
     let fks = parse_fks(&schema, family.fks).unwrap();
@@ -65,7 +74,7 @@ fn build(family: &Family) -> (RewritePlan, CompiledPlan, Arc<Schema>) {
         Classification::Fo(plan) => *plan,
         Classification::NotFo(r) => panic!("{}: expected FO, got {r}", family.query),
     };
-    let compiled = CompiledPlan::compile(&plan).unwrap();
+    let compiled = JOINS.map(|join| CompiledPlan::compile_with(&plan, join).unwrap());
     (plan, compiled, schema)
 }
 
@@ -100,16 +109,19 @@ fn check(family: &Family, picks: &[(usize, Vec<usize>)]) -> Result<(), TestCaseE
     let (plan, compiled, schema) = build(family);
     let db = instance_for(&schema, family.rels, picks);
     let interpretive = plan.answer(&db);
-    let lazy = compiled.answer(&db);
-    prop_assert_eq!(
-        interpretive,
-        lazy,
-        "query {}: materializing {} vs compiled {} on {}",
-        family.query,
-        interpretive,
-        lazy,
-        db
-    );
+    for (join, compiled) in JOINS.iter().zip(&compiled) {
+        let lazy = compiled.answer(&db);
+        prop_assert_eq!(
+            interpretive,
+            lazy,
+            "query {}: materializing {} vs compiled ({} join) {} on {}",
+            family.query,
+            interpretive,
+            join,
+            lazy,
+            db
+        );
+    }
     Ok(())
 }
 
