@@ -3,9 +3,9 @@
 //! A *block* (paper §3.1) is a maximal set of key-equal facts; repairs with
 //! respect to primary keys choose at most one fact per block. An instance
 //! stores each fact once, in a per-relation row table with a hash map from
-//! key prefix to the rows of that block ([`InstanceIndex`]), so block
-//! enumeration — the primitive of every CQA algorithm — is direct, and
-//! point reads are hash probes. Readers that need the canonical (sorted)
+//! key prefix to the rows of that block and a full-row membership table
+//! ([`InstanceIndex`]), so block enumeration — the primitive of every CQA
+//! algorithm — is direct, and point reads are hash probes. Readers that need the canonical (sorted)
 //! order read the key-sorted [`ColumnarRelation`] derived from that table.
 
 use crate::binding::{Binding, CompiledAtom};
@@ -18,6 +18,7 @@ use crate::intern::Cst;
 use crate::schema::{RelName, Schema, Signature};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -238,7 +239,10 @@ impl Instance {
     /// hash-indexed key-prefix blocks for block lookups and full-fact
     /// membership, plus the lazily built active domain and key constants.
     /// Every successful [`Instance::insert`]/[`Instance::remove`] maintains
-    /// it in place (O(1) amortized per fact).
+    /// it in place. Both find the row with one probe of its relation's
+    /// full-row membership table, so an insert costs O(1) amortized however
+    /// large its block; a remove also looks up one `u32` in its block's id
+    /// list (and in the list of the row that moves into its slot).
     pub fn index(&self) -> &InstanceIndex {
         &self.store
     }
@@ -403,14 +407,15 @@ impl Instance {
     }
 }
 
-/// One relation's rows: a dense row table plus a key-prefix hash map from
-/// block key to row ids. Shared with [`crate::view`], which layers lazy
-/// restriction/filtering on top of these handles.
+/// One relation's rows: a dense row table, a key-prefix hash map from
+/// block key to row ids, and a full-row membership table. Shared with
+/// [`crate::view`], which layers lazy restriction/filtering on top of these
+/// handles.
 ///
 /// Row order in `all` (and id order within a block's index list) is
-/// **arbitrary**: inserts append and removes swap-remove, so maintenance is
-/// O(1) per fact. Consumers that need a deterministic order read the
-/// key-sorted columnar projection instead.
+/// **arbitrary**: inserts append and removes swap-remove. Consumers that
+/// need a deterministic order read the key-sorted columnar projection
+/// instead.
 #[derive(Clone, Debug)]
 pub(crate) struct RelIndex {
     pub(crate) key_len: usize,
@@ -420,7 +425,10 @@ pub(crate) struct RelIndex {
     /// rows dense in memory, whatever else was allocated between inserts.
     all: Vec<Cst>,
     /// key prefix → ids of the block's rows (arbitrary order).
-    pub(crate) blocks: HashMap<Box<[Cst]>, Vec<u32>>,
+    pub(crate) blocks: HashMap<Box<[Cst]>, BlockIds>,
+    /// Every row id, keyed by its full row: the dedup, remove and
+    /// `contains` probe, O(1) however large the row's block.
+    members: RowSet,
     /// Lazily built read-optimized projection of `all`: one column per
     /// position, rows sorted so blocks are contiguous ranges. Any
     /// mutation of the relation discards it; the next reader rebuilds.
@@ -428,6 +436,17 @@ pub(crate) struct RelIndex {
 }
 
 impl RelIndex {
+    fn new(sig: Signature) -> RelIndex {
+        RelIndex {
+            key_len: sig.key_len,
+            arity: sig.arity,
+            all: Vec::new(),
+            blocks: HashMap::new(),
+            members: RowSet::new(),
+            columnar: OnceLock::new(),
+        }
+    }
+
     /// The columnar projection, built on first demand after a mutation.
     pub(crate) fn columnar(&self) -> &ColumnarRelation {
         self.columnar.get_or_init(|| {
@@ -452,7 +471,171 @@ impl RelIndex {
 
     /// The row ids of the block with this key (empty when absent).
     pub(crate) fn block(&self, key: &[Cst]) -> &[u32] {
-        self.blocks.get(key).map_or(&[], Vec::as_slice)
+        self.blocks.get(key).map_or(&[], BlockIds::as_slice)
+    }
+}
+
+/// The row ids of one block, in arbitrary order. A block of a relation
+/// that satisfies its key holds one row, so that case stays inline; `Many`
+/// always holds at least two ids.
+#[derive(Clone, Debug)]
+pub(crate) enum BlockIds {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl BlockIds {
+    pub(crate) fn as_slice(&self) -> &[u32] {
+        match self {
+            BlockIds::One(id) => std::slice::from_ref(id),
+            BlockIds::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: u32) {
+        match self {
+            BlockIds::One(first) => *self = BlockIds::Many(vec![*first, id]),
+            BlockIds::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Drops `id`, which must be in the block; returns whether the block
+    /// is now empty.
+    fn remove(&mut self, id: u32) -> bool {
+        let BlockIds::Many(ids) = self else {
+            return true;
+        };
+        ids.swap_remove(ids.iter().position(|&i| i == id).expect("id in its block"));
+        if let [only] = ids[..] {
+            *self = BlockIds::One(only);
+        }
+        false
+    }
+
+    /// Replaces id `from`, which must be in the block, with `to`.
+    fn repoint(&mut self, from: u32, to: u32) {
+        let slot = match self {
+            BlockIds::One(id) => id,
+            BlockIds::Many(ids) => ids
+                .iter_mut()
+                .find(|i| **i == from)
+                .expect("id in its block"),
+        };
+        *slot = to;
+    }
+}
+
+/// Marks a free [`RowSet`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// A set of row ids keyed by their full rows: open addressing with linear
+/// probing over a power-of-two slot array, at most 7/8 full. The rows stay
+/// in the relation's row table, which every operation takes as `all`; the
+/// set hashes and compares them there, so it holds nothing but one `u32`
+/// per slot. Deletion shifts the rest of the probe run back, so there are
+/// no tombstones and probe runs never outlive the rows that made them.
+#[derive(Clone, Debug)]
+struct RowSet {
+    /// Row ids, or [`EMPTY`]; the length is a power of two.
+    slots: Vec<u32>,
+    len: usize,
+    /// Keys the row hash per table (the std hasher), so no input can be
+    /// crafted to collide.
+    hasher: RandomState,
+}
+
+impl RowSet {
+    fn new() -> RowSet {
+        RowSet {
+            slots: vec![EMPTY; 8],
+            len: 0,
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// The slot where the probe run for `row` starts.
+    fn home(&self, row: &[Cst]) -> usize {
+        self.hasher.hash_one(row) as usize & (self.slots.len() - 1)
+    }
+
+    /// `Ok(slot)` of `row`'s id, or `Err(slot)`: the free slot that ends
+    /// its probe run.
+    fn find(&self, all: &[Cst], arity: usize, row: &[Cst]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(row);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                id if row_of(all, arity, id) == row => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds `id` for `row` (not yet in `all`) unless an equal row is
+    /// present; returns whether it was added.
+    fn insert(&mut self, all: &[Cst], arity: usize, row: &[Cst], id: u32) -> bool {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow(all, arity);
+        }
+        let Err(slot) = self.find(all, arity, row) else {
+            return false;
+        };
+        self.slots[slot] = id;
+        self.len += 1;
+        true
+    }
+
+    /// Doubles the slot array and re-places every id.
+    fn grow(&mut self, all: &[Cst], arity: usize) {
+        let cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; cap]);
+        let mask = cap - 1;
+        for id in old.into_iter().filter(|&id| id != EMPTY) {
+            let mut slot = self.home(row_of(all, arity, id));
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id;
+        }
+    }
+
+    /// Removes `row`'s id and returns it (`None` when absent). Every id's
+    /// row must still be in `all`: the backward shift rehashes the rows
+    /// after the freed slot.
+    fn remove(&mut self, all: &[Cst], arity: usize, row: &[Cst]) -> Option<u32> {
+        let mut hole = self.find(all, arity, row).ok()?;
+        let id = self.slots[hole];
+        let mask = self.slots.len() - 1;
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let next = self.slots[slot];
+            if next == EMPTY {
+                break;
+            }
+            // `next` may move back into the hole unless its home lies
+            // cyclically in (hole, slot]: its probe would then miss it.
+            let home = self.home(row_of(all, arity, next));
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.slots[hole] = next;
+                hole = slot;
+            }
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+        Some(id)
+    }
+
+    /// Re-points `row`'s slot from id `from` to id `to` (the row is moving
+    /// to slot `to` of the row table). `row` must be present under `from`.
+    fn repoint(&mut self, row: &[Cst], from: u32, to: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(row);
+        while self.slots[slot] != from {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = to;
     }
 }
 
@@ -518,9 +701,10 @@ impl Domains {
 /// The fact store of an [`Instance`] ([`Instance::index`]), shared by the
 /// compiled evaluators:
 ///
-/// * per-relation row tables with hash-indexed key-prefix blocks, so
-///   guarded lookups with a ground key and full-fact membership checks are
-///   O(1) hash probes;
+/// * per-relation row tables with hash-indexed key-prefix blocks and a
+///   full-row membership table, so guarded lookups with a ground key and
+///   full-fact membership checks are O(1) hash probes, however large the
+///   block;
 /// * the active domain and key-constant sets, built on first
 ///   demand and maintained in place after that, so no workload pays for a
 ///   domain it never reads.
@@ -546,22 +730,21 @@ impl InstanceIndex {
         })
     }
 
-    /// Adds `row` to `rel` unless present (a block probe, then a compare
-    /// within the small block); returns whether it was added.
+    /// Adds `row` to `rel` unless present (one membership probe); returns
+    /// whether it was added.
     fn insert(&mut self, rel: RelName, sig: Signature, row: &[Cst]) -> bool {
-        let r = self.rels.entry(rel).or_insert_with(|| RelIndex {
-            key_len: sig.key_len,
-            arity: sig.arity,
-            all: Vec::new(),
-            blocks: HashMap::new(),
-            columnar: OnceLock::new(),
-        });
-        let id = u32::try_from(r.len()).expect("row count fits in u32");
+        let r = self.rels.entry(rel).or_insert_with(|| RelIndex::new(sig));
+        let id = u32::try_from(r.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("row count fits in u32");
+        if !r.members.insert(&r.all, r.arity, row, id) {
+            return false;
+        }
         match r.blocks.get_mut(&row[..sig.key_len]) {
-            Some(ids) if ids.iter().any(|&i| row_of(&r.all, r.arity, i) == row) => return false,
             Some(ids) => ids.push(id),
             None => {
-                r.blocks.insert(row[..sig.key_len].into(), vec![id]);
+                r.blocks.insert(row[..sig.key_len].into(), BlockIds::One(id));
             }
         }
         if let Some(d) = self.domains.get_mut() {
@@ -573,21 +756,19 @@ impl InstanceIndex {
     }
 
     /// Removes `row` from `rel` if present; returns whether it was removed.
-    /// Drops its id from the block (erasing an emptied block), moves the
-    /// last row into its slot and re-points that row's id.
+    /// Drops its id from the membership table and the block (erasing an
+    /// emptied block), moves the last row into its slot and re-points that
+    /// row's id in both.
     fn remove(&mut self, rel: RelName, row: &[Cst]) -> bool {
         let Some(r) = self.rels.get_mut(&rel) else {
             return false;
         };
+        let Some(id) = r.members.remove(&r.all, r.arity, row) else {
+            return false;
+        };
         let key = &row[..r.key_len];
-        let Some(ids) = r.blocks.get_mut(key) else {
-            return false;
-        };
-        let Some(pos) = ids.iter().position(|&i| row_of(&r.all, r.arity, i) == row) else {
-            return false;
-        };
-        let id = ids.swap_remove(pos) as usize;
-        if ids.is_empty() {
+        let ids = r.blocks.get_mut(key).expect("member's block indexed");
+        if ids.remove(id) {
             r.blocks.remove(key);
         }
         if let Some(d) = self.domains.get_mut() {
@@ -595,21 +776,19 @@ impl InstanceIndex {
         }
         r.columnar.take();
         let (arity, last) = (r.arity, r.len() - 1);
-        r.all.copy_within(last * arity.., id * arity);
-        r.all.truncate(last * arity);
-        if id != last {
-            // The former last row now lives in slot `id`; re-point the one
-            // stale id in its block's index list.
-            let ids = r
-                .blocks
-                .get_mut(&r.all[id * arity..][..r.key_len])
-                .expect("moved row's block indexed");
-            let slot = ids
-                .iter_mut()
-                .find(|i| **i as usize == last)
-                .expect("moved row's id indexed");
-            *slot = u32::try_from(id).expect("row count fits in u32");
+        let last_id = u32::try_from(last).expect("row count fits in u32");
+        if id != last_id {
+            // The last row moves into slot `id`: re-point its two index
+            // entries while its values still sit at `last`.
+            let moved = row_of(&r.all, arity, last_id);
+            r.members.repoint(moved, last_id, id);
+            r.blocks
+                .get_mut(&moved[..r.key_len])
+                .expect("moved row's block indexed")
+                .repoint(last_id, id);
         }
+        r.all.copy_within(last * arity.., id as usize * arity);
+        r.all.truncate(last * arity);
         true
     }
 
@@ -662,18 +841,13 @@ impl InstanceIndex {
         self.rels.get(&rel).map(RelIndex::columnar)
     }
 
-    /// Hash-indexed full-fact membership: probes the block of the row's key
-    /// prefix, then compares within the (small) block.
+    /// Full-fact membership: one probe of the relation's membership
+    /// table, whatever the size of the fact's block.
     pub fn contains(&self, rel: RelName, args: &[Cst]) -> bool {
         let Some(r) = self.rels.get(&rel) else {
             return false;
         };
-        if args.len() != r.arity {
-            return false;
-        }
-        r.block(&args[..r.key_len])
-            .iter()
-            .any(|&i| r.row(i) == args)
+        args.len() == r.arity && r.members.find(&r.all, r.arity, args).is_ok()
     }
 
     /// Canonical per-relation content: the row count and each block's
@@ -686,7 +860,7 @@ impl InstanceIndex {
             .filter(|(_, r)| r.len() > 0)
             .map(|(rel, r)| {
                 let blocks = r.blocks.iter().map(|(key, ids)| {
-                    let mut rows: Vec<&[Cst]> = ids.iter().map(|&i| r.row(i)).collect();
+                    let mut rows: Vec<&[Cst]> = ids.as_slice().iter().map(|&i| r.row(i)).collect();
                     rows.sort_unstable();
                     (&**key, rows)
                 });
@@ -1046,6 +1220,36 @@ mod tests {
         assert!(db.apply(&bad).is_err());
         assert_eq!(db, before);
         assert_eq!(db.epoch(), e0 + 2);
+    }
+
+    /// Nanoseconds to load `facts` into a fresh instance, the best of
+    /// three loads.
+    fn load_ns(facts: &[Fact]) -> u128 {
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                Instance::from_facts(schema(), facts.iter().cloned()).unwrap();
+                start.elapsed().as_nanos()
+            })
+            .min()
+            .unwrap()
+    }
+
+    #[test]
+    fn one_block_loads_as_fast_as_singleton_blocks() {
+        // Both loads insert the same number of facts, so host speed cancels
+        // out of the ratio. A dedup that compares each new row with its
+        // whole block makes the one-block load ≈50× slower.
+        const N: usize = 20_000;
+        let values: Vec<String> = (0..N).map(|i| format!("v{i}")).collect();
+        let fact = |k: &str, v: &str| Fact::from_names("R", &[k, v]);
+        let one_block: Vec<Fact> = values.iter().map(|v| fact("k", v)).collect();
+        let singletons: Vec<Fact> = values.iter().map(|v| fact(v, "k")).collect();
+        let (one, single) = (load_ns(&one_block), load_ns(&singletons));
+        assert!(
+            one <= 4 * single,
+            "one block of {N}: {one} ns; {N} singleton blocks: {single} ns"
+        );
     }
 
     #[test]

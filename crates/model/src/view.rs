@@ -261,7 +261,7 @@ impl<'a> InstanceView<'a> {
             }
             out.push((
                 &**key,
-                idxs.iter().map(|&i| r.row(i)).collect(),
+                idxs.as_slice().iter().map(|&i| r.row(i)).collect(),
             ));
         }
         out

@@ -258,3 +258,54 @@ proptest! {
         prop_assert_eq!(forward.to_string(), backward.to_string());
     }
 }
+
+/// Non-key constants for the one-block traces: enough that a single block
+/// of `R` outgrows several membership-table sizes (8 → 16 → … → 128 slots).
+const WIDE: usize = 96;
+
+fn one_block_fact(v: usize) -> Fact {
+    Fact::from_names("R", &["k", &format!("v{v}")])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        failure_persistence: Some(FileFailurePersistence::WithSource("proptest-regressions")),
+        ..ProptestConfig::default()
+    })]
+
+    /// A long trace over `R[2,1]` facts that all share one key. The block
+    /// grows through several membership-table resizes, and removes run the
+    /// backward-shift deletion through long probe runs, also across the
+    /// end of the slot array. Three steps in four insert, so the block
+    /// settles near 72 rows.
+    #[test]
+    fn one_large_block_matches_the_model_along_any_trace(
+        steps in proptest::collection::vec((0..4usize, 0..WIDE), 400..600),
+    ) {
+        let mut db = empty_db();
+        let mut model = BTreeSet::new();
+        let _ = db.adom();
+        for (i, &(op, v)) in steps.iter().enumerate() {
+            let fact = one_block_fact(v);
+            let epoch_before = db.epoch();
+            let (effective, changed) = if op < 3 {
+                (db.insert(fact.clone()).unwrap(), model.insert(fact.clone()))
+            } else {
+                (db.remove(&fact).unwrap(), model.remove(&fact))
+            };
+            prop_assert_eq!(effective, changed, "step {} {:?}", i, fact);
+            prop_assert_eq!(db.epoch(), epoch_before + u64::from(effective));
+            prop_assert_eq!(db.len(), model.len());
+            prop_assert_eq!(db.contains(&fact), model.contains(&fact));
+            if i % 16 == 0 || i + 1 == steps.len() {
+                for v in 0..WIDE {
+                    let probe = one_block_fact(v);
+                    prop_assert_eq!(db.contains(&probe), model.contains(&probe), "{}", probe);
+                }
+                prop_assert!(*db.index() == db.rebuild_index(), "diverged at step {}", i);
+                check_against_model(&db, &model)?;
+            }
+        }
+    }
+}

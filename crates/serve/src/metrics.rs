@@ -45,7 +45,7 @@ impl Latency {
 #[derive(Default)]
 struct Counters {
     /// Requests seen, per protocol op (including malformed ones under
-    /// `"invalid"`).
+    /// `"invalid"` and lines over the byte cap under `"oversize"`).
     requests: BTreeMap<String, u64>,
     /// Plan-cache hits and misses.
     hits: u64,

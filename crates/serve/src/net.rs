@@ -180,28 +180,44 @@ pub fn serve(
 }
 
 /// Serves one connection: line in, line out, until EOF or a broken pipe.
+/// Under a line cap ([`Service::line_cap`]) it buffers at most cap + 1
+/// bytes of a line; a longer one is skipped to its newline and refused
+/// without being decoded.
 fn handle_connection(service: &Service, conn: Conn) {
+    let cap = service.line_cap();
+    let limit = cap.map_or(u64::MAX, |cap| cap.saturating_add(1) as u64);
     let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        let reply = match cap {
+            Some(cap) if line.len() > cap && !line.ends_with(b"\n") => {
+                if reader.skip_until(b'\n').is_err() {
+                    return;
+                }
+                service.refuse_oversize_line(cap)
+            }
+            _ => {
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return;
+                };
+                let trimmed = text.trim();
                 if trimmed.is_empty() {
                     continue;
                 }
-                let reply = service.handle_line(trimmed);
-                let conn = reader.get_mut();
-                if conn.write_all(reply.as_bytes()).is_err()
-                    || conn.write_all(b"\n").is_err()
-                    || conn.flush().is_err()
-                {
-                    return;
-                }
+                service.handle_line(trimmed)
             }
-            Err(_) => return,
+        };
+        let conn = reader.get_mut();
+        if conn.write_all(reply.as_bytes()).is_err()
+            || conn.write_all(b"\n").is_err()
+            || conn.flush().is_err()
+        {
+            return;
         }
     }
 }
@@ -229,4 +245,72 @@ fn round_trip<S: Read + Write>(mut stream: S, line: &str) -> io::Result<String> 
         ));
     }
     Ok(reply.trim_end().to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServeConfig;
+    use cqa_core::ExecOptions;
+    use serde_json::Value;
+
+    #[test]
+    fn oversize_line_is_refused_unread_and_the_connection_keeps_serving() {
+        let mut socket = std::env::temp_dir();
+        socket.push(format!(
+            "cqa-serve-net-{}-oversize.sock",
+            std::process::id()
+        ));
+        let endpoint = Endpoint::Unix(socket.clone());
+        let service = Arc::new(Service::new(ServeConfig {
+            defaults: ExecOptions::sequential(),
+            cache_capacity: 4,
+            max_facts: Some(100),
+        }));
+        let cap = service
+            .line_cap()
+            .expect("a fact ceiling caps request lines");
+        let server = {
+            let service = Arc::clone(&service);
+            let endpoint = endpoint.clone();
+            std::thread::spawn(move || serve(&service, &endpoint, None))
+        };
+        let mut stream = (0..200)
+            .find_map(|_| {
+                std::thread::sleep(Duration::from_millis(10));
+                UnixStream::connect(&socket).ok()
+            })
+            .expect("server came up");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut send = |line: &str| -> Value {
+            stream.write_all(line.as_bytes()).expect("send line");
+            stream.write_all(b"\n").expect("send newline");
+            let mut reply = String::new();
+            replies.read_line(&mut reply).expect("read reply");
+            serde_json::from_str(&reply).expect("reply parses")
+        };
+        // `{"op":"ping"}` padded with JSON whitespace to `len` bytes.
+        let ping = |len: usize| format!("{{\"op\":\"ping\"{}}}", " ".repeat(len - 13));
+        let flag = |reply: &Value, name: &str| reply.get(name).and_then(Value::as_bool);
+
+        let at_cap = send(&ping(cap));
+        assert_eq!(flag(&at_cap, "pong"), Some(true), "{at_cap:?}");
+        for len in [cap + 1, 8 * cap] {
+            let over = send(&ping(len));
+            assert_eq!(flag(&over, "ok"), Some(false), "{over:?}");
+            assert_eq!(flag(&over, "rejected"), Some(true), "{over:?}");
+        }
+        // The skipped lines left the stream in step: the same connection
+        // answers the next request.
+        let after = send(&ping(13));
+        assert_eq!(flag(&after, "pong"), Some(true), "{after:?}");
+        assert_eq!(flag(&send(r#"{"op":"shutdown"}"#), "shutdown"), Some(true));
+        drop((stream, replies));
+        server
+            .join()
+            .expect("server thread exits")
+            .expect("serve returns Ok");
+        let metrics = service.metrics().snapshot();
+        assert_eq!(metrics.get("rejected").and_then(Value::as_u64), Some(2));
+    }
 }

@@ -47,6 +47,14 @@
 //! hard-class candidate space exceeds the request's oracle budget, gets
 //! an immediate `rejected` reply — the server's latency profile is
 //! protected by never starting work it already knows it cannot finish.
+//!
+//! A fact ceiling also caps the bytes of every request line, before any
+//! of it is decoded: a fixed envelope for the op, schema, query and
+//! foreign keys plus a per-fact allowance for the database text
+//! (`Service::line_cap`). The transport reads at most one byte past the
+//! cap, skips the rest of a longer line unread and sends the same
+//! `rejected` reply, so one huge line costs no decode time and no memory
+//! beyond the cap. Without a ceiling, lines are unbounded.
 
 use crate::cache::{CachedPlan, Lookup, PlanCache, RawKey};
 use crate::metrics::MetricsRegistry;
@@ -82,6 +90,16 @@ impl Default for ServeConfig {
     }
 }
 
+/// With a fact ceiling, the bytes a request line may spend besides its
+/// database text: the op, schema, query, foreign keys, budget and JSON
+/// punctuation.
+const LINE_ENVELOPE_BYTES: usize = 64 * 1024;
+
+/// With a fact ceiling, the bytes a request line may spend per admitted
+/// fact of its database text, separators and JSON escapes included: a
+/// fact of arity 4 with 100-byte constants fits.
+const LINE_BYTES_PER_FACT: usize = 512;
+
 /// The long-lived service state shared by every connection: plan cache,
 /// metrics, config, shutdown flag.
 #[derive(Debug)]
@@ -116,6 +134,28 @@ impl Service {
     /// Whether a `shutdown` request has been accepted.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The longest request line this server decodes: unbounded without a
+    /// fact ceiling, otherwise [`LINE_ENVELOPE_BYTES`] plus
+    /// [`LINE_BYTES_PER_FACT`] per fact of `max_facts`. A longer line
+    /// carries more database text than the ceiling allows.
+    pub(crate) fn line_cap(&self) -> Option<usize> {
+        self.config.max_facts.map(|n| {
+            n.saturating_mul(LINE_BYTES_PER_FACT)
+                .saturating_add(LINE_ENVELOPE_BYTES)
+        })
+    }
+
+    /// The reply to a line longer than `cap` bytes, which the transport
+    /// skipped without decoding.
+    pub(crate) fn refuse_oversize_line(&self, cap: usize) -> String {
+        self.metrics.record_request("oversize");
+        self.metrics.record_rejection();
+        error_reply(
+            &format!("request line over {cap} bytes, the cap the admission ceiling sets"),
+            true,
+        )
     }
 
     /// Handles one protocol line, returning the reply line (without the

@@ -36,7 +36,8 @@
 //! `serve` runs the persistent solver service (`cqa_serve`): a
 //! line-delimited JSON protocol on `--socket PATH` (Unix domain) or
 //! `--tcp ADDR`, with an LRU plan cache (`--cache N` entries), admission
-//! control (`--max-facts N`; hard-class requests must carry a budget) and
+//! control (`--max-facts N`, which also caps request line bytes before
+//! decode; hard-class requests must carry a budget) and
 //! a metrics dump on shutdown (`--metrics-out PATH`). Unlike every other
 //! command, `serve` validates `CQA_THREADS` **strictly** at startup and
 //! refuses to start on an unparsable value — a long-lived server must not
