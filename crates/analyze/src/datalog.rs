@@ -208,7 +208,7 @@ impl Program {
 
     /// Parses the printed syntax (see the [module docs](self)).
     pub fn parse(text: &str) -> Result<Program, ParseError> {
-        Parser::new(text).program()
+        Parser::new(text)?.program()
     }
 }
 
@@ -257,11 +257,12 @@ struct Parser {
 }
 
 impl Parser {
-    fn new(text: &str) -> Parser {
+    /// Lexes `text`; a lexical error is reported at its line.
+    fn new(text: &str) -> Result<Parser, ParseError> {
         let mut toks = Vec::new();
         let mut line = 1usize;
         let mut chars = text.chars().peekable();
-        let mut err: Option<(usize, String)> = None;
+        let lex_err = |line: usize, message: String| Err(ParseError { line, message });
         while let Some(&c) = chars.peek() {
             match c {
                 '\n' => {
@@ -301,8 +302,7 @@ impl Parser {
                         chars.next();
                         toks.push((Tok::Turnstile, line));
                     } else {
-                        err = err.or(Some((line, "expected `:-`".to_string())));
-                        break;
+                        return lex_err(line, "expected `:-`".to_string());
                     }
                 }
                 '!' => {
@@ -311,8 +311,7 @@ impl Parser {
                         chars.next();
                         toks.push((Tok::Neq, line));
                     } else {
-                        err = err.or(Some((line, "expected `!=`".to_string())));
-                        break;
+                        return lex_err(line, "expected `!=`".to_string());
                     }
                 }
                 '"' => {
@@ -339,8 +338,7 @@ impl Parser {
                     if closed {
                         toks.push((Tok::Quoted(s), line));
                     } else {
-                        err = err.or(Some((line, "unterminated string".to_string())));
-                        break;
+                        return lex_err(line, "unterminated string".to_string());
                     }
                 }
                 c if c.is_alphanumeric() || c == '_' => {
@@ -356,35 +354,15 @@ impl Parser {
                     toks.push((Tok::Ident(s), line));
                 }
                 other => {
-                    err = err.or(Some((line, format!("unexpected character `{other}`"))));
-                    break;
+                    return lex_err(line, format!("unexpected character `{other}`"));
                 }
             }
         }
-        if let Some((line, message)) = err {
-            // Surface the lexer error through an impossible token stream:
-            // a bare `:-` at the recorded line makes `program()` fail there
-            // with the stashed message.
-            return Parser {
-                toks: vec![(Tok::Turnstile, line)],
-                pos: 0,
-                last_line: line,
-            }
-            .poisoned(message);
-        }
-        Parser {
+        Ok(Parser {
             toks,
             pos: 0,
             last_line: line,
-        }
-    }
-
-    fn poisoned(mut self, message: String) -> Parser {
-        // Replace the stream with a sentinel the grammar can never accept,
-        // carrying the message via the Ident payload.
-        let line = self.toks[0].1;
-        self.toks = vec![(Tok::Quoted(message), line)];
-        self
+        })
     }
 
     fn line(&self) -> usize {
@@ -425,11 +403,6 @@ impl Parser {
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
-        // A poisoned stream (lexer error) is a lone Quoted token.
-        if let (Some(Tok::Quoted(msg)), 1) = (self.peek(), self.toks.len()) {
-            let msg = msg.clone();
-            return self.err(msg);
-        }
         let mut rules = Vec::new();
         while self.peek().is_some() {
             rules.push(self.rule()?);

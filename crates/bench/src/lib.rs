@@ -1,20 +1,17 @@
 //! # cqa-bench
 //!
-//! The experiment harness: utilities shared by the Criterion benches and by
-//! the `paper-eval` binary, which regenerates every figure and worked
-//! example of the paper and prints a paper-vs-measured table
-//! (see `EXPERIMENTS.md` and DESIGN.md §3 for the experiment index E1–E16).
+//! The experiment harness behind the `paper-eval` binary, which
+//! regenerates every figure and worked example of the paper and prints a
+//! paper-vs-measured table (DESIGN.md §3 indexes the experiments E1–E16),
+//! then times every kernel against its slow baseline in the gated ratio
+//! table of [`eval_bench`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod eval_bench;
 
-pub use eval_bench::{
-    acyclic_join_instance, nested_l45_instance, nested_l45_plan, nested_l45_problem,
-    run_eval_bench, AcyclicJoinRow, DeltaBenchRow, EvalBench, EvalBenchRow, PlanBenchRow,
-    ACYCLIC_JOIN_QUERY, ACYCLIC_JOIN_SCHEMA, ACYCLIC_JOIN_SIZES,
-};
+pub use eval_bench::{run_eval_bench, EvalBench};
 
 use serde::Serialize;
 use std::fmt;

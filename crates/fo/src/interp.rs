@@ -9,9 +9,8 @@
 //! * **differential testing**: the property suites check the compiled
 //!   evaluator ([`crate::compile::CompiledFormula`]) against this
 //!   interpreter on arbitrary formulas, strategies and bindings;
-//! * **ablation benchmarking**: `benches/ablations.rs` and `paper-eval`'s
-//!   `BENCH_eval.json` measure the compiled-vs-interpreted speedup against
-//!   this baseline.
+//! * **the kernel ratio table**: `paper-eval`'s `compiled_vs_interpreted`
+//!   ratio gates the compiled evaluator's speedup against this baseline.
 //!
 //! The only semantic change from its pre-compilation form is the
 //! active-domain soundness fix shared with the compiled path: the

@@ -178,7 +178,7 @@ impl CompiledQuery {
     }
 
     /// `db ⊨ q` under an explicit join strategy — the pin used by the
-    /// differential tests and benches.
+    /// differential tests and the kernel ratio table.
     pub fn satisfies_via(&self, db: &Instance, join: JoinStrategy) -> bool {
         let mut b = self.base_binding(&Valuation::new());
         if let Some(plan) = self.route(db.index(), &b, join) {
