@@ -17,7 +17,7 @@
 //! *Unaffected* rung now fires per *block*, not per relation.
 
 use crate::ir::{FormulaIr, OpIr, PatIr, PlanIr, TailIr};
-use cqa_model::{Cst, RelName};
+use cqa_model::{by_name, sort_by_name, Cst, RelName};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -124,8 +124,10 @@ impl fmt::Display for ReadSet {
         if self.map.is_empty() {
             return write!(f, "(reads nothing)");
         }
+        let mut rels: Vec<(&RelName, &AccessPattern)> = self.map.iter().collect();
+        rels.sort_by(|a, b| by_name(a.0, b.0));
         let mut first = true;
-        for (rel, pat) in &self.map {
+        for (rel, pat) in rels {
             if !first {
                 write!(f, ", ")?;
             }
@@ -134,7 +136,9 @@ impl fmt::Display for ReadSet {
                 AccessPattern::Whole => write!(f, "{rel}: *")?,
                 AccessPattern::Blocks(keys) => {
                     write!(f, "{rel}: blocks {{")?;
-                    for (i, key) in keys.iter().enumerate() {
+                    let mut keys: Vec<&Vec<Cst>> = keys.iter().collect();
+                    sort_by_name(&mut keys);
+                    for (i, key) in keys.into_iter().enumerate() {
                         if i > 0 {
                             write!(f, ", ")?;
                         }

@@ -96,12 +96,13 @@ impl AttackGraph {
         self.strong.contains(&(f, g))
     }
 
-    /// All attacks as `(from, to, strong)` triples.
+    /// All attacks as `(from, to, strong)` triples, in the atoms' canonical
+    /// (name) order.
     pub fn all_attacks(&self) -> Vec<(RelName, RelName, bool)> {
         let mut out = Vec::new();
-        for (f, gs) in &self.edges {
-            for g in gs {
-                out.push((*f, *g, self.is_strong(*f, *g)));
+        for &f in &self.atoms {
+            for &g in self.atoms.iter().filter(|&&g| self.attacks(f, g)) {
+                out.push((f, g, self.is_strong(f, g)));
             }
         }
         out

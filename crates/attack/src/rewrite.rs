@@ -21,7 +21,7 @@
 
 use crate::attack_graph::AttackGraph;
 use cqa_fo::{simplify, Formula};
-use cqa_model::{Atom, Cst, Query, Term, Var};
+use cqa_model::{sort_by_name, Atom, Cst, Query, Term, Var};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -125,10 +125,9 @@ fn rewrite_rec(q: &Query) -> Result<Formula, RewriteError> {
     );
     let witness = Formula::exists(ws, Formula::Atom(witness_atom));
 
-    Ok(Formula::exists(
-        key_vars.iter().copied(),
-        Formula::and([witness, forall]),
-    ))
+    let mut key_vars: Vec<Var> = key_vars.into_iter().collect();
+    sort_by_name(&mut key_vars);
+    Ok(Formula::exists(key_vars, Formula::and([witness, forall])))
 }
 
 #[cfg(test)]

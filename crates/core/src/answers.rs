@@ -28,7 +28,7 @@ use crate::classify::{classify, Classification, NotFoReason};
 use crate::compiled_plan::CompiledPlan;
 use crate::problem::Problem;
 use crate::solver::ExecOptions;
-use cqa_model::{all_valuations, Cst, FkSet, Instance, ModelError, Query, Term, Var};
+use cqa_model::{all_valuations, sort_by_name, Cst, FkSet, Instance, ModelError, Query, Term, Var};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -101,6 +101,10 @@ pub fn certain_answers_with(
     if candidates.is_empty() {
         return Ok(BTreeSet::new());
     }
+    // In name order, so the representative tuple of an error is the same
+    // in every process.
+    let mut candidates: Vec<Vec<Cst>> = candidates.into_iter().collect();
+    sort_by_name(&mut candidates);
 
     // Fast path: freeze the free variables as parameters, classify ONCE,
     // compile one parameterized plan, and evaluate it per candidate tuple.
@@ -118,7 +122,7 @@ pub fn certain_answers_with(
                         // plan over read-only views of `db`. The verdict
                         // vector is joined in input order and the output
                         // is a set, so the result is scheduling-invariant.
-                        let tuples: Vec<Vec<Cst>> = candidates.into_iter().collect();
+                        let tuples = candidates;
                         let verdicts: Vec<bool> = match options.batch_pool(tuples.len()) {
                             Some(pool) => pool.map(&tuples, |t| compiled.answer_with(db, t)),
                             None => tuples.iter().map(|t| compiled.answer_with(db, t)).collect(),

@@ -50,8 +50,8 @@ use crate::problem::Problem;
 use cqa_analyze::{AuditReport, L45Ir, OpIr, PatIr, PlanIr, QueryIr, ReadSet, TailIr};
 use cqa_fo::{CompiledFormula, Strategy};
 use cqa_model::{
-    CompiledQuery, Cst, ForeignKey, Instance, InstanceView, JoinStrategy, ReadLog, RelName, Schema,
-    Term, Var,
+    sort_by_name, CompiledQuery, Cst, ForeignKey, Instance, InstanceView, JoinStrategy, ReadLog,
+    RelName, Schema, Term, Var,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -743,10 +743,13 @@ impl CompiledLemma45 {
 
 impl fmt::Display for CompiledPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rels: Vec<RelName> = self.rels.iter().copied().collect();
+        sort_by_name(&mut rels);
+        let rels: Vec<String> = rels.iter().map(RelName::to_string).collect();
         write!(
             f,
-            "compiled plan over {:?}: {} filter op(s), ",
-            self.rels,
+            "compiled plan over {{{}}}: {} filter op(s), ",
+            rels.join(", "),
             self.ops.len()
         )?;
         match &self.tail {

@@ -25,7 +25,7 @@
 use crate::pipeline::{BuildError, Lemma45Step, PlanStep, RewritePlan, StepAction, Tail};
 use crate::problem::Problem;
 use cqa_fo::{simplify, Formula};
-use cqa_model::{Atom, ForeignKey, Query, Term, Var};
+use cqa_model::{sort_by_name, Atom, ForeignKey, Query, Term, Var};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -229,17 +229,16 @@ fn substitute_step(step: &PlanStep, formula: Formula) -> Formula {
 /// given `R`-atom occurrence` — "the block of this fact is relevant for
 /// `q^FK_R`".
 fn block_relevance_formula(q_rel: &Query, occurrence: &Atom) -> Formula {
-    // Freshen the relevance query's variables.
-    let renaming: BTreeMap<Var, Term> = q_rel
-        .vars()
-        .into_iter()
-        .map(|v| (v, Term::Var(Var::fresh("z"))))
+    // Freshen the relevance query's variables, numbered in name order.
+    let mut vars: Vec<Var> = q_rel.vars().into_iter().collect();
+    sort_by_name(&mut vars);
+    let fresh_vars: Vec<Var> = vars.iter().map(|_| Var::fresh("z")).collect();
+    let renaming: BTreeMap<Var, Term> = vars
+        .iter()
+        .zip(&fresh_vars)
+        .map(|(&v, &z)| (v, Term::Var(z)))
         .collect();
     let fresh_q = q_rel.substitute(&renaming);
-    let fresh_vars: Vec<Var> = renaming
-        .values()
-        .filter_map(|t| t.as_var())
-        .collect();
 
     let mut parts: Vec<Formula> = fresh_q
         .atoms()

@@ -36,8 +36,8 @@ use cqa_fo::eval::Strategy;
 use cqa_fo::{CompiledFormula, Formula};
 use cqa_model::eval::{block_is_relevant, unify, Valuation};
 use cqa_model::{
-    Atom, Cst, Fact, FkSet, ForeignKey, Instance, InstanceView, Query, RelName, RenameTable, Term,
-    Var,
+    sort_by_name, Atom, Cst, Fact, FkSet, ForeignKey, Instance, InstanceView, Query, RelName,
+    RenameTable, Term, Var,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -187,7 +187,7 @@ pub struct Lemma45Step {
     pub removed: BTreeSet<RelName>,
     /// `q₀ = q ∖ q^FK_N`, with its original terms (renaming specification).
     pub q0: Query,
-    /// `⃗x = vars(N)` in canonical order.
+    /// `⃗x = vars(N)` in name order.
     pub xs: Vec<Var>,
     /// `FK₀ = FK↾q₀`.
     pub fk0: FkSet,
@@ -354,7 +354,8 @@ impl RewritePlan {
                     q.restrict(&keep)
                 };
                 let fk0 = fks.restrict_to_query(&q0);
-                let xs: Vec<Var> = n_atom.vars().into_iter().collect();
+                let mut xs: Vec<Var> = n_atom.vars().into_iter().collect();
+                sort_by_name(&mut xs);
                 let b = Cst::fresh("b");
                 let q0_generic = genericize(&q0, &xs, b);
                 let sub_problem = Problem::new(q0_generic, fk0.clone()).map_err(|e| {

@@ -40,7 +40,7 @@
 use cqa_analyze::datalog::{DAtom, DTerm, Literal, Program, Rule};
 use cqa_core::EmitSpec;
 use cqa_fo::Formula;
-use cqa_model::{Atom, Cst, Instance, RelName, Schema, Term, Var};
+use cqa_model::{sort_by_name, Atom, Cst, Instance, RelName, Schema, Term, Var};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A lowered program plus the name of its zero-arity goal predicate.
@@ -83,7 +83,7 @@ pub fn lower(spec: &EmitSpec, schema: &Schema, db: &Instance) -> Lowered {
             lower_dual_horn(*n, *o, middle, db, &prefix, &mut rules)
         }
     }
-    for fact in db.facts() {
+    for fact in db.facts_by_name() {
         rules.push(Rule::fact(DAtom::new(
             fact.rel.to_string(),
             fact.args.iter().map(|c| cst(*c)).collect(),
@@ -146,7 +146,9 @@ fn lower_fo(formula: &Formula, schema: &Schema, prefix: &str, rules: &mut Vec<Ru
             });
         }
     }
-    for c in formula.consts() {
+    let mut consts: Vec<Cst> = formula.consts().into_iter().collect();
+    sort_by_name(&mut consts);
+    for c in consts {
         rules.push(Rule::fact(DAtom::new(format!("{prefix}dom"), vec![cst(c)])));
     }
 }
@@ -236,7 +238,8 @@ fn emit_sub(
     let idx = *next;
     *next += 1;
     let pred = format!("{prefix}sub{idx}");
-    let vars: Vec<Var> = f.free_vars().into_iter().collect();
+    let mut vars: Vec<Var> = f.free_vars().into_iter().collect();
+    sort_by_name(&mut vars);
     let head = DAtom::new(pred.clone(), vars.iter().map(dvar).collect());
     let dom = |v: &Var| {
         Literal::Pos(DAtom::new(format!("{prefix}dom"), vec![dvar(v)]))
@@ -400,21 +403,27 @@ fn lower_dual_horn(
 }
 
 /// Per-block dual-Horn clause bodies: for each `n`-block (keyed by its
-/// first component), the sorted distinct third components of the members
-/// whose middle is *not* `middle`. Shared by the Datalog and SQL emitters
-/// so both artifacts encode the same clauses.
+/// first component), the distinct third components of the members whose
+/// middle is *not* `middle`; blocks and components in name order. Shared
+/// by the Datalog and SQL emitters so both artifacts encode the same
+/// clauses.
 pub(crate) fn block_chains(db: &Instance, n: RelName, middle: &Cst) -> Vec<(Cst, Vec<Cst>)> {
-    db.blocks(n)
+    let mut chains: Vec<(Cst, Vec<Cst>)> = db
+        .blocks(n)
         .into_iter()
         .map(|(key, block)| {
-            let qs: BTreeSet<Cst> = block
+            let mut qs: Vec<Cst> = block
                 .iter()
                 .filter(|f| f.args[1] != *middle)
                 .map(|f| f.args[2])
                 .collect();
-            (key[0], qs.into_iter().collect())
+            sort_by_name(&mut qs);
+            qs.dedup();
+            (key[0], qs)
         })
-        .collect()
+        .collect();
+    sort_by_name(&mut chains);
+    chains
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ fn schema_and_facts(schema: &Schema, db: &Instance) -> String {
     }
     out.push('\n');
     let mut any = false;
-    for fact in db.facts() {
+    for fact in db.facts_by_name() {
         let vals: Vec<String> = fact.args.iter().map(|c| lit(c.name())).collect();
         writeln!(out, "INSERT INTO {} VALUES ({});", fact.rel, vals.join(", ")).expect("write");
         any = true;

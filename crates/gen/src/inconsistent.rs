@@ -7,7 +7,7 @@
 //! dangling facts at configurable rates. This is the workload for the
 //! FO-rewriting vs. naive-oracle scaling experiment (E13).
 
-use cqa_model::{Atom, Cst, Fact, FkSet, Instance, Query, Term, Valuation, Var};
+use cqa_model::{sort_by_name, Atom, Cst, Fact, FkSet, Instance, Query, Term, Valuation, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -49,12 +49,14 @@ pub fn generate(q: &Query, _fks: &FkSet, cfg: GenConfig) -> Instance {
         .map(|i| Cst::new(&format!("v{i}")))
         .collect();
 
+    // Draw in name order, so a seed gives the same instance in every process.
+    let mut vars: Vec<Var> = q.vars().into_iter().collect();
+    sort_by_name(&mut vars);
     for _ in 0..cfg.n_valuations {
         // Random valuation over vars(q).
-        let val: Valuation = q
-            .vars()
-            .into_iter()
-            .map(|v: Var| (v, pool[rng.gen_range(0..pool.len())]))
+        let val: Valuation = vars
+            .iter()
+            .map(|&v| (v, pool[rng.gen_range(0..pool.len())]))
             .collect();
         for atom in q.atoms() {
             let fact = apply(atom, &val);

@@ -1,6 +1,6 @@
 //! Ground facts `R(a₁, …, aₙ)`.
 
-use crate::intern::Cst;
+use crate::intern::{ByName, Cst, Names};
 use crate::schema::{RelName, Signature};
 use std::fmt;
 
@@ -11,6 +11,12 @@ pub struct Fact {
     pub rel: RelName,
     /// Constants, in attribute order.
     pub args: Box<[Cst]>,
+}
+
+impl ByName for Fact {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> std::cmp::Ordering {
+        (self.rel, &self.args).cmp_names(&(other.rel, &other.args), names)
+    }
 }
 
 impl Fact {

@@ -1,6 +1,7 @@
 //! Unary foreign keys `R[i] → S` and validated sets thereof (paper §3.2).
 
 use crate::error::ModelError;
+use crate::intern::{sort_by_name, ByName, Names};
 use crate::query::Query;
 use crate::schema::{RelName, Schema};
 use crate::term::Term;
@@ -21,6 +22,12 @@ pub struct ForeignKey {
     pub pos: usize,
     /// Referenced relation `S`.
     pub to: RelName,
+}
+
+impl ByName for ForeignKey {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> std::cmp::Ordering {
+        ((self.from, self.pos), self.to).cmp_names(&((other.from, other.pos), other.to), names)
+    }
 }
 
 impl ForeignKey {
@@ -94,7 +101,15 @@ impl fmt::Debug for ForeignKey {
 #[derive(Clone, PartialEq, Eq)]
 pub struct FkSet {
     schema: Arc<Schema>,
-    fks: BTreeSet<ForeignKey>,
+    /// Sorted by name and deduplicated: the set's one canonical order.
+    fks: Vec<ForeignKey>,
+}
+
+/// `fks` as a set in name order.
+fn canonical(mut fks: Vec<ForeignKey>) -> Vec<ForeignKey> {
+    sort_by_name(&mut fks);
+    fks.dedup();
+    fks
 }
 
 impl FkSet {
@@ -103,7 +118,7 @@ impl FkSet {
         schema: Arc<Schema>,
         fks: impl IntoIterator<Item = ForeignKey>,
     ) -> Result<FkSet, ModelError> {
-        let fks: BTreeSet<ForeignKey> = fks.into_iter().collect();
+        let fks = canonical(fks.into_iter().collect());
         for fk in &fks {
             fk.validate(&schema)?;
         }
@@ -114,7 +129,7 @@ impl FkSet {
     pub fn empty(schema: Arc<Schema>) -> FkSet {
         FkSet {
             schema,
-            fks: BTreeSet::new(),
+            fks: Vec::new(),
         }
     }
 
@@ -123,7 +138,7 @@ impl FkSet {
         &self.schema
     }
 
-    /// Iterator over the keys in canonical order.
+    /// Iterator over the keys in canonical (name) order.
     pub fn iter(&self) -> impl Iterator<Item = &ForeignKey> + '_ {
         self.fks.iter()
     }
@@ -173,23 +188,20 @@ impl FkSet {
 
     /// The set without `fk`.
     pub fn without(&self, fk: &ForeignKey) -> FkSet {
-        let mut fks = self.fks.clone();
-        fks.remove(fk);
-        FkSet {
-            schema: self.schema.clone(),
-            fks,
-        }
+        self.without_all([fk])
     }
 
     /// The set minus all the given keys.
     pub fn without_all<'a>(&self, remove: impl IntoIterator<Item = &'a ForeignKey>) -> FkSet {
-        let mut fks = self.fks.clone();
-        for fk in remove {
-            fks.remove(fk);
-        }
+        let remove: Vec<&ForeignKey> = remove.into_iter().collect();
         FkSet {
             schema: self.schema.clone(),
-            fks,
+            fks: self
+                .fks
+                .iter()
+                .filter(|fk| !remove.contains(fk))
+                .copied()
+                .collect(),
         }
     }
 
@@ -197,10 +209,10 @@ impl FkSet {
     pub fn with(&self, fk: ForeignKey) -> Result<FkSet, ModelError> {
         fk.validate(&self.schema)?;
         let mut fks = self.fks.clone();
-        fks.insert(fk);
+        fks.push(fk);
         Ok(FkSet {
             schema: self.schema.clone(),
-            fks,
+            fks: canonical(fks),
         })
     }
 

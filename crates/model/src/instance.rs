@@ -14,7 +14,7 @@ use crate::delta::{Delta, DeltaOp};
 use crate::error::ModelError;
 use crate::fact::Fact;
 use crate::fk::{FkSet, ForeignKey};
-use crate::intern::Cst;
+use crate::intern::{sort_by_name, Cst};
 use crate::schema::{RelName, Schema, Signature};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -88,15 +88,15 @@ impl Instance {
         self.uid
     }
 
-    /// The signature of `fact`'s relation, after checking that the relation
-    /// is declared and the arity matches.
-    fn validate(&self, fact: &Fact) -> Result<Signature, ModelError> {
-        let sig = self.schema.expect(fact.rel)?;
-        if fact.arity() != sig.arity {
+    /// The signature of `rel`, after checking that the relation is declared
+    /// and that `arity` matches it.
+    fn validate(&self, rel: RelName, arity: usize) -> Result<Signature, ModelError> {
+        let sig = self.schema.expect(rel)?;
+        if arity != sig.arity {
             return Err(ModelError::ArityMismatch {
-                rel: fact.rel,
+                rel,
                 expected: sig.arity,
-                got: fact.arity(),
+                got: arity,
             });
         }
         Ok(sig)
@@ -104,8 +104,14 @@ impl Instance {
 
     /// Inserts a fact; returns `Ok(true)` if it was new.
     pub fn insert(&mut self, fact: Fact) -> Result<bool, ModelError> {
-        let sig = self.validate(&fact)?;
-        let added = self.store.insert(fact.rel, sig, &fact.args);
+        self.insert_row(fact.rel, &fact.args)
+    }
+
+    /// Inserts the fact `rel(row…)` with [`Instance::insert`]'s validation,
+    /// from a borrowed row (the loader's path: no `Fact` is built).
+    pub(crate) fn insert_row(&mut self, rel: RelName, row: &[Cst]) -> Result<bool, ModelError> {
+        let sig = self.validate(rel, row.len())?;
+        let added = self.store.insert(rel, sig, row);
         self.len += usize::from(added);
         self.epoch += u64::from(added);
         Ok(added)
@@ -121,7 +127,7 @@ impl Instance {
     /// wrong-arity fact for a known relation is an error, not a silent
     /// `false` (which would be indistinguishable from "not present").
     pub fn remove(&mut self, fact: &Fact) -> Result<bool, ModelError> {
-        self.validate(fact)?;
+        self.validate(fact.rel, fact.arity())?;
         let removed = self.store.remove(fact.rel, &fact.args);
         self.len -= usize::from(removed);
         self.epoch += u64::from(removed);
@@ -135,7 +141,7 @@ impl Instance {
     /// removes that deleted one); the epoch advances by exactly that many.
     pub fn apply(&mut self, delta: &Delta) -> Result<usize, ModelError> {
         for op in delta.ops() {
-            self.validate(op.fact())?;
+            self.validate(op.fact().rel, op.fact().arity())?;
         }
         let mut effective = 0;
         for op in delta.ops() {
@@ -163,9 +169,18 @@ impl Instance {
         self.len == 0
     }
 
-    /// All facts, in canonical order.
+    /// All facts, in canonical order: `Fact`'s `Ord`, which compares
+    /// symbols by intern id (see [`crate::intern`]).
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.schema.relations().flat_map(|(rel, _)| self.facts_of(rel))
+        self.schema.ids().flat_map(|rel| self.facts_of(rel))
+    }
+
+    /// All facts in name order ([`sort_by_name`]): the order for output, where
+    /// [`Instance::facts`]' intern-id order must not show.
+    pub fn facts_by_name(&self) -> Vec<Fact> {
+        let mut facts: Vec<Fact> = self.facts().collect();
+        sort_by_name(&mut facts);
+        facts
     }
 
     /// Facts of one relation, in canonical order.
@@ -977,7 +992,7 @@ impl Eq for Instance {}
 
 impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let facts: Vec<String> = self.facts().map(|fact| fact.to_string()).collect();
+        let facts: Vec<String> = self.facts_by_name().iter().map(Fact::to_string).collect();
         write!(f, "{{{}}}", facts.join(", "))
     }
 }

@@ -2,8 +2,26 @@
 //!
 //! Constants ([`Cst`]) and variables ([`Var`]) are thin wrappers over an
 //! interned symbol ([`Sym`]). Interning makes equality O(1) and keeps facts
-//! compact (`u32` per value). Ordering compares the *resolved strings*, so
-//! canonical orders are stable across runs regardless of interning order.
+//! compact (`u32` per value).
+//!
+//! **Ordering is by intern id**: `Sym`, `Cst`, `Var` and
+//! [`RelName`](crate::RelName) compare as `u32`, with no lock and no string
+//! read, so every sorted set, map and columnar sort inside the system costs
+//! an integer compare. Id order depends on the order in which a process
+//! first met each name, so nothing a user sees may follow it. *String*
+//! order applies only at the output boundaries, through the one
+//! [`by_name`] comparator ([`ByName`] lifts it to facts, foreign keys,
+//! pairs and slices; [`sort_by_name`] sorts under one lock):
+//!
+//! * the `Display` impls of [`Schema`](crate::Schema),
+//!   [`Query`](crate::Query), [`FkSet`](crate::FkSet) and
+//!   [`Instance`](crate::Instance) (and, downstream, the rewrite plan and
+//!   the read-set);
+//! * emitted Datalog and SQL artifacts;
+//! * `cqa answer` / `cqa oracle` listings (the oracle also searches blocks
+//!   in name order, so it finds the same witness) and serve JSON replies;
+//! * per-problem planning that picks "the first" element of a set, so a
+//!   plan (and its fresh-symbol numbering) is the same in every process.
 
 use parking_lot::RwLock;
 use std::cmp::Ordering;
@@ -79,14 +97,108 @@ impl PartialOrd for Sym {
     }
 }
 
+/// Intern-id order: a `u32` compare. See the module docs for where string
+/// order is used instead.
 impl Ord for Sym {
     fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+/// Canonical *string* order, for the output boundaries listed in the module
+/// docs. Symbols compare by their names; composite values compare
+/// lexicographically, component by component, each by name.
+pub trait ByName {
+    /// Compares `self` and `other` by name, reading names from `names`.
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering;
+}
+
+/// A read view of the interner's string table, held for the duration of
+/// one comparison or one whole sort.
+pub struct Names<'a>(&'a [Arc<str>]);
+
+/// The one string-order comparator: `by_name(a, b)` compares by name. Each
+/// call takes the interner's read lock; [`sort_by_name`] takes it once for
+/// a whole sort.
+pub fn by_name<T: ByName + ?Sized>(a: &T, b: &T) -> Ordering {
+    a.cmp_names(b, &Names(&interner().read().strings))
+}
+
+/// Sorts `items` by [`by_name`], under one read lock.
+pub fn sort_by_name<T: ByName>(items: &mut [T]) {
+    let guard = interner().read();
+    let names = Names(&guard.strings);
+    items.sort_by(|a, b| a.cmp_names(b, &names));
+}
+
+impl ByName for Sym {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering {
         if self.0 == other.0 {
             return Ordering::Equal;
         }
-        self.resolve().cmp(&other.resolve())
+        names.0[self.0 as usize].cmp(&names.0[other.0 as usize])
     }
 }
+
+impl ByName for usize {
+    fn cmp_names(&self, other: &Self, _: &Names<'_>) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+impl<T: ByName> ByName for [T] {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering {
+        self.iter()
+            .zip(other)
+            .map(|(a, b)| a.cmp_names(b, names))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.len().cmp(&other.len()))
+    }
+}
+
+impl<T: ByName> ByName for Vec<T> {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering {
+        self[..].cmp_names(&other[..], names)
+    }
+}
+
+impl<T: ByName + ?Sized> ByName for Box<T> {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering {
+        (**self).cmp_names(other, names)
+    }
+}
+
+impl<T: ByName + ?Sized> ByName for &T {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering {
+        (**self).cmp_names(other, names)
+    }
+}
+
+impl<A: ByName, B: ByName> ByName for (A, B) {
+    fn cmp_names(&self, other: &Self, names: &Names<'_>) -> Ordering {
+        self.0
+            .cmp_names(&other.0, names)
+            .then_with(|| self.1.cmp_names(&other.1, names))
+    }
+}
+
+/// Implements [`ByName`] for a newtype over [`Sym`].
+macro_rules! by_name_via_sym {
+    ($($t:ty),*) => {$(
+        impl $crate::intern::ByName for $t {
+            fn cmp_names(
+                &self,
+                other: &Self,
+                names: &$crate::intern::Names<'_>,
+            ) -> std::cmp::Ordering {
+                $crate::intern::ByName::cmp_names(&self.0, &other.0, names)
+            }
+        }
+    )*};
+}
+pub(crate) use by_name_via_sym;
+
+by_name_via_sym!(Cst, Var);
 
 impl fmt::Debug for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -212,10 +324,44 @@ mod tests {
     }
 
     #[test]
-    fn ord_is_string_order() {
+    fn ord_is_id_order() {
         let z = Sym::intern("zzz_first_interned");
         let a = Sym::intern("aaa_second_interned");
-        assert!(a < z, "ordering must follow strings, not intern ids");
+        assert!(z < a, "ordering follows intern ids, not strings");
+        assert_eq!(by_name(&a, &z), Ordering::Less, "by_name follows strings");
+        assert_eq!(by_name(&Cst(z), &Cst(z)), Ordering::Equal);
+        assert_eq!(
+            by_name(&[Cst(a), Cst(z)][..], &[Cst(a)][..]),
+            Ordering::Greater,
+            "a proper prefix sorts first"
+        );
+    }
+
+    #[test]
+    fn display_sorts_by_name() {
+        use crate::parser::{parse_fks, parse_instance, parse_query, parse_schema};
+        use crate::RelName;
+        // Every name is interned in reverse string order, so id order and
+        // name order disagree everywhere.
+        let schema = std::sync::Arc::new(
+            parse_schema("Ord_c[2,1] Ord_b[1,1] Ord_a[1,1]").unwrap(),
+        );
+        assert!(RelName::new("Ord_c") < RelName::new("Ord_a"), "ids are reversed");
+        assert_eq!(schema.to_string(), "Ord_a[1, 1] Ord_b[1, 1] Ord_c[2, 1]");
+        let q = parse_query(&schema, "Ord_c(ord_z, ord_a), Ord_b(ord_a), Ord_a(ord_z)").unwrap();
+        assert_eq!(q.to_string(), "{Ord_a(ord_z), Ord_b(ord_a), Ord_c(ord_z, ord_a)}");
+        let fks = parse_fks(&schema, "Ord_c[2] -> Ord_b, Ord_c[1] -> Ord_a").unwrap();
+        assert_eq!(fks.to_string(), "{Ord_c[1] → Ord_a, Ord_c[2] → Ord_b}");
+        let db = parse_instance(
+            &schema,
+            "Ord_c(ordk_9, ordv_1) Ord_c(ordk_1, ordv_9) Ord_b(ordv_9) Ord_a(ordk_1)",
+        )
+        .unwrap();
+        assert!(Cst::new("ordk_9") < Cst::new("ordk_1"));
+        assert_eq!(
+            db.to_string(),
+            "{Ord_a(ordk_1), Ord_b(ordv_9), Ord_c(ordk_1, ordv_9), Ord_c(ordk_9, ordv_1)}"
+        );
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //!
 //! The characters `#` and `§` are reserved for internally generated fresh
 //! symbols and parameter constants, and are rejected in user input.
+//!
+//! The lexer yields tokens that borrow from the input. Ground atoms (an
+//! instance's facts, [`parse_fact`]) never become [`Atom`]s: their
+//! constants are interned straight into one reused row buffer, and
+//! [`parse_instance`] resolves each relation name against the schema and
+//! writes the row into the instance's store, so a fact costs no allocation
+//! of its own.
 
 use crate::atom::Atom;
 use crate::error::ModelError;
@@ -35,10 +42,10 @@ struct Lexer<'a> {
     pos: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Quoted(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Quoted(&'a str),
     LParen,
     RParen,
     LBracket,
@@ -74,7 +81,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next(&mut self) -> Result<Tok, ModelError> {
+    fn next(&mut self) -> Result<Tok<'a>, ModelError> {
         self.skip_ws();
         let r = self.rest();
         let mut chars = r.chars();
@@ -119,21 +126,20 @@ impl<'a> Lexer<'a> {
                 let content = &rest[..end];
                 validate_token(content)?;
                 self.pos += end + 2;
-                Ok(Tok::Quoted(content.to_string()))
+                Ok(Tok::Quoted(content))
             }
             c if is_ident_char(c) => {
                 let end = r.find(|ch| !is_ident_char(ch)).unwrap_or(r.len());
                 let word = &r[..end];
                 validate_token(word)?;
                 self.pos += end;
-                Ok(Tok::Ident(word.to_string()))
+                Ok(Tok::Ident(word))
             }
             other => Err(err(format!("unexpected character {other:?} at …{r}"))),
         }
     }
 
-
-    fn expect(&mut self, want: Tok) -> Result<(), ModelError> {
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ModelError> {
         let got = self.next()?;
         if got == want {
             Ok(())
@@ -173,7 +179,7 @@ pub fn parse_schema(input: &str) -> Result<Schema, ModelError> {
                 lex.expect(Tok::Comma)?;
                 let key_len = parse_usize(&mut lex)?;
                 lex.expect(Tok::RBracket)?;
-                schema.add(&name, arity, key_len)?;
+                schema.add(name, arity, key_len)?;
             }
             other => return Err(err(format!("expected relation name, got {other:?}"))),
         }
@@ -190,36 +196,51 @@ fn parse_usize(lex: &mut Lexer<'_>) -> Result<usize, ModelError> {
     }
 }
 
-fn parse_term(tok: Tok, ground: bool) -> Result<Term, ModelError> {
-    match tok {
-        Tok::Quoted(s) => Ok(Term::Cst(Cst::new(&s))),
-        Tok::Ident(s) => {
-            if ground || s.chars().all(|c| c.is_ascii_digit()) {
-                Ok(Term::Cst(Cst::new(&s)))
-            } else {
-                Ok(Term::var(&s))
-            }
+/// Parses a parenthesized term list, `(t₁, …, tₙ)` or `()`, handing each
+/// term token to `push`.
+fn parse_args<'a>(
+    lex: &mut Lexer<'a>,
+    mut push: impl FnMut(Tok<'a>) -> Result<(), ModelError>,
+) -> Result<(), ModelError> {
+    lex.expect(Tok::LParen)?;
+    let mut first = true;
+    loop {
+        let tok = lex.next()?;
+        if tok == Tok::RParen && first {
+            return Ok(());
         }
+        first = false;
+        push(tok)?;
+        match lex.next()? {
+            Tok::Comma => continue,
+            Tok::RParen => return Ok(()),
+            other => return Err(err(format!("expected ',' or ')', got {other:?}"))),
+        }
+    }
+}
+
+/// The term a token denotes in a query: quoted tokens and numerals are
+/// constants, other identifiers variables.
+fn parse_term(tok: Tok<'_>) -> Result<Term, ModelError> {
+    match tok {
+        Tok::Quoted(s) => Ok(Term::cst(s)),
+        Tok::Ident(s) if s.chars().all(|c| c.is_ascii_digit()) => Ok(Term::cst(s)),
+        Tok::Ident(s) => Ok(Term::var(s)),
         other => Err(err(format!("expected a term, got {other:?}"))),
     }
 }
 
-fn parse_atom_body(lex: &mut Lexer<'_>, name: &str, ground: bool) -> Result<Atom, ModelError> {
-    lex.expect(Tok::LParen)?;
-    let mut terms = Vec::new();
-    loop {
-        let tok = lex.next()?;
-        if tok == Tok::RParen && terms.is_empty() {
-            break;
+/// Parses a ground atom's arguments into `row` (cleared first): every term
+/// is a constant, quoted or not.
+fn parse_ground_args(lex: &mut Lexer<'_>, row: &mut Vec<Cst>) -> Result<(), ModelError> {
+    row.clear();
+    parse_args(lex, |tok| match tok {
+        Tok::Quoted(s) | Tok::Ident(s) => {
+            row.push(Cst::new(s));
+            Ok(())
         }
-        terms.push(parse_term(tok, ground)?);
-        match lex.next()? {
-            Tok::Comma => continue,
-            Tok::RParen => break,
-            other => return Err(err(format!("expected ',' or ')', got {other:?}"))),
-        }
-    }
-    Ok(Atom::new(RelName::new(name), terms))
+        other => Err(err(format!("expected a term, got {other:?}"))),
+    })
 }
 
 /// Parses a list of atoms, e.g. `"N(x, 'c', y), O(y)"`, into a query.
@@ -230,7 +251,14 @@ pub fn parse_query(schema: &Arc<Schema>, input: &str) -> Result<Query, ModelErro
         match lex.next()? {
             Tok::Eof => break,
             Tok::Comma => continue,
-            Tok::Ident(name) => atoms.push(parse_atom_body(&mut lex, &name, false)?),
+            Tok::Ident(name) => {
+                let mut terms = Vec::new();
+                parse_args(&mut lex, |tok| {
+                    terms.push(parse_term(tok)?);
+                    Ok(())
+                })?;
+                atoms.push(Atom::new(RelName::new(name), terms));
+            }
             other => return Err(err(format!("expected an atom, got {other:?}"))),
         }
     }
@@ -242,34 +270,40 @@ pub fn parse_fact(input: &str) -> Result<Fact, ModelError> {
     let mut lex = Lexer::new(input);
     match lex.next()? {
         Tok::Ident(name) => {
-            let atom = parse_atom_body(&mut lex, &name, true)?;
-            let args: Vec<Cst> = atom
-                .terms
-                .iter()
-                .map(|t| t.as_cst().ok_or(ModelError::NonGroundTerm))
-                .collect::<Result<_, _>>()?;
-            Ok(Fact::new(atom.rel, args))
+            let mut row = Vec::new();
+            parse_ground_args(&mut lex, &mut row)?;
+            Ok(Fact::new(RelName::new(name), row))
         }
         other => Err(err(format!("expected a fact, got {other:?}"))),
     }
 }
 
 /// Parses a whole instance, e.g. `"R(a,1); R(a,2); S(1,x)"`.
+///
+/// Equivalent to [`parse_fact`] on every fact followed by
+/// [`Instance::insert`], errors included (a malformed fact fails as a parse
+/// error before its relation is checked), but each fact goes straight from
+/// the input into the store.
 pub fn parse_instance(schema: &Arc<Schema>, input: &str) -> Result<Instance, ModelError> {
+    // The schema's relations by name, resolved once: a fact's relation is
+    // found by comparing its name token, without interning it.
+    let rels: Vec<(Arc<str>, RelName)> = schema
+        .relations()
+        .map(|(rel, _)| (rel.name(), rel))
+        .collect();
     let mut lex = Lexer::new(input);
     let mut db = Instance::new(schema.clone());
+    let mut row = Vec::new();
     loop {
         match lex.next()? {
             Tok::Eof => break,
             Tok::Comma => continue,
             Tok::Ident(name) => {
-                let atom = parse_atom_body(&mut lex, &name, true)?;
-                let args: Vec<Cst> = atom
-                    .terms
-                    .iter()
-                    .map(|t| t.as_cst().ok_or(ModelError::NonGroundTerm))
-                    .collect::<Result<_, _>>()?;
-                db.insert(Fact::new(atom.rel, args))?;
+                parse_ground_args(&mut lex, &mut row)?;
+                let Some(&(_, rel)) = rels.iter().find(|(n, _)| **n == *name) else {
+                    return Err(ModelError::UnknownRelation(name.to_string()));
+                };
+                db.insert_row(rel, &row)?;
             }
             other => return Err(err(format!("expected a fact, got {other:?}"))),
         }
@@ -291,7 +325,7 @@ pub fn parse_fks(schema: &Arc<Schema>, input: &str) -> Result<FkSet, ModelError>
                 lex.expect(Tok::RBracket)?;
                 lex.expect(Tok::Arrow)?;
                 match lex.next()? {
-                    Tok::Ident(to) => fks.push(ForeignKey::from_names(&from, pos, &to)),
+                    Tok::Ident(to) => fks.push(ForeignKey::from_names(from, pos, to)),
                     other => return Err(err(format!("expected relation name, got {other:?}"))),
                 }
             }

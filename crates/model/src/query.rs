@@ -2,7 +2,7 @@
 
 use crate::atom::Atom;
 use crate::error::ModelError;
-use crate::intern::{Cst, Var};
+use crate::intern::{by_name, Cst, Var};
 use crate::schema::{Position, RelName, Schema, Signature};
 use crate::term::Term;
 use std::collections::{BTreeMap, BTreeSet};
@@ -23,7 +23,7 @@ pub struct Query {
 impl Query {
     /// Builds a query over `schema`, validating arity and self-join-freeness.
     pub fn new(schema: Arc<Schema>, mut atoms: Vec<Atom>) -> Result<Query, ModelError> {
-        atoms.sort_by_key(|a| a.rel);
+        atoms.sort_by(|a, b| by_name(&a.rel, &b.rel));
         let mut index = BTreeMap::new();
         for (i, atom) in atoms.iter().enumerate() {
             let sig = schema.expect(atom.rel)?;

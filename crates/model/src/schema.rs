@@ -6,7 +6,7 @@
 //! [`Schema`] is an explicit value shared by queries and instances.
 
 use crate::error::ModelError;
-use crate::intern::Sym;
+use crate::intern::{by_name, by_name_via_sym, Sym};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -38,6 +38,8 @@ impl fmt::Display for RelName {
         write!(f, "{}", self.0)
     }
 }
+
+by_name_via_sym!(RelName);
 
 /// A relation signature `[n, k]`: arity `n`, primary key = positions `1..=k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,7 +116,10 @@ impl fmt::Display for Position {
 /// A finite set of relation names with signatures.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schema {
+    /// The lookup table (intern-id order).
     rels: BTreeMap<RelName, Signature>,
+    /// The same relations in name order, for every reader that iterates.
+    names: Vec<RelName>,
 }
 
 impl Schema {
@@ -138,8 +143,11 @@ impl Schema {
             Some(existing) if *existing != sig => {
                 Err(ModelError::ConflictingSignature(name.to_string()))
             }
-            _ => {
+            Some(_) => Ok(rel),
+            None => {
                 self.rels.insert(rel, sig);
+                let at = self.names.partition_point(|r| by_name(r, &rel).is_lt());
+                self.names.insert(at, rel);
                 Ok(rel)
             }
         }
@@ -163,7 +171,13 @@ impl Schema {
 
     /// All declared relations in name order.
     pub fn relations(&self) -> impl Iterator<Item = (RelName, Signature)> + '_ {
-        self.rels.iter().map(|(r, s)| (*r, *s))
+        self.names.iter().map(|r| (*r, self.rels[r]))
+    }
+
+    /// All declared relations in intern-id order: the order of
+    /// [`RelName`]'s `Ord`, for readers that must agree with sorted sets.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = RelName> + '_ {
+        self.rels.keys().copied()
     }
 
     /// Number of declared relations.
@@ -189,13 +203,10 @@ impl Schema {
 
     /// Restriction of the schema to the given relations.
     pub fn restrict(&self, keep: impl Fn(RelName) -> bool) -> Schema {
+        let names: Vec<RelName> = self.names.iter().copied().filter(|&r| keep(r)).collect();
         Schema {
-            rels: self
-                .rels
-                .iter()
-                .filter(|(r, _)| keep(**r))
-                .map(|(r, s)| (*r, *s))
-                .collect(),
+            rels: names.iter().map(|r| (*r, self.rels[r])).collect(),
+            names,
         }
     }
 }

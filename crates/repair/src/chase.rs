@@ -47,8 +47,9 @@ pub fn chase_fresh(
 ) -> Result<(Instance, Vec<Fact>), ChaseError> {
     let mut db = base.clone();
     let mut inserted = Vec::new();
-    // Worklist: facts whose outgoing keys still need checking.
-    let mut work: Vec<Fact> = db.facts().collect();
+    // Worklist: facts whose outgoing keys still need checking, in name
+    // order so fresh values are numbered the same way in every process.
+    let mut work: Vec<Fact> = db.facts_by_name();
     while let Some(fact) = work.pop() {
         for fk in fks.outgoing(fact.rel) {
             if db.is_dangling(&fact, &fk) {

@@ -5,7 +5,7 @@
 //! block. Insertions never occur (dropping an inserted fact always yields a
 //! strictly ⊕-closer consistent instance), so enumeration is direct.
 
-use cqa_model::{CompiledQuery, Fact, Instance, Query};
+use cqa_model::{sort_by_name, CompiledQuery, Fact, Instance, Query};
 use std::ops::ControlFlow;
 
 /// Enumerates all primary-key repairs of `db`.
@@ -34,12 +34,17 @@ pub(crate) fn visit_pk_repairs<B>(
     walk(&blocks_of(db), &mut repair, &mut visit).break_value()
 }
 
-/// Every block of `db`, in canonical order (relations by name, blocks by
-/// key, facts sorted).
+/// Every block of `db`, in name order (relations, then blocks by key, then
+/// facts), so the search meets repairs — and reports witnesses — in the
+/// same order in every process.
 pub(crate) fn blocks_of(db: &Instance) -> Vec<Vec<Fact>> {
-    db.populated_relations()
+    let mut blocks: Vec<Vec<Fact>> = db
+        .populated_relations()
         .flat_map(|rel| db.blocks(rel).into_iter().map(|(_, facts)| facts))
-        .collect()
+        .collect();
+    blocks.iter_mut().for_each(|b| sort_by_name(b));
+    sort_by_name(&mut blocks);
+    blocks
 }
 
 fn walk<B>(

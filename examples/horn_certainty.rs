@@ -22,7 +22,7 @@ fn main() {
         closing_is_c: true,
         with_anchor: true,
     });
-    for fact in bc.db.facts() {
+    for fact in bc.db.facts_by_name() {
         println!("  {fact}");
     }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 fn main() {
     let bib = bibliography_scenario();
     println!("Figure 1 database ({} facts):", bib.db.len());
-    for fact in bib.db.facts() {
+    for fact in bib.db.facts_by_name() {
         println!("  {fact}");
     }
     println!();
@@ -51,7 +51,7 @@ fn main() {
     match oracle.is_certain(&bib.db, solver.problem().query(), solver.problem().fks()) {
         OracleOutcome::NotCertain(witness) => {
             println!("oracle agrees; a falsifying ⊕-repair:");
-            for fact in witness.facts() {
+            for fact in witness.facts_by_name() {
                 println!("  {fact}");
             }
         }

@@ -33,7 +33,7 @@ fn main() {
 
     let inst = fig3::reduce(&fig3_graph, s, t);
     println!("Figure 3 reduction of the paper's example graph:");
-    for fact in inst.db.facts() {
+    for fact in inst.db.facts_by_name() {
         println!("  {fact}");
     }
     let certain = cqa::solvers::prop17::certain(&inst.db, Cst::new("c"));

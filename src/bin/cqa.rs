@@ -62,6 +62,7 @@
 
 use cqa::core::flatten::flatten;
 use cqa::prelude::*;
+use cqa::problem_file::parse_problem_file;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -257,32 +258,6 @@ fn run_analyze(args: &Args) -> Result<Outcome, String> {
     }
 }
 
-/// Parses a `.problem` file: `schema:`, `query:`, optional `fks:` and
-/// optional `db:` (inline facts) lines, with `#` comments and blank lines
-/// ignored.
-fn parse_problem_file(text: &str) -> Result<(String, String, String, Option<String>), String> {
-    let (mut schema, mut query, mut fks, mut db) = (None, None, String::new(), None);
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match line.split_once(':') {
-            Some(("schema", rest)) => schema = Some(rest.trim().to_string()),
-            Some(("query", rest)) => query = Some(rest.trim().to_string()),
-            Some(("fks", rest)) => fks = rest.trim().to_string(),
-            Some(("db", rest)) => db = Some(rest.trim().to_string()),
-            _ => return Err(format!("unrecognized line `{line}`")),
-        }
-    }
-    Ok((
-        schema.ok_or("missing `schema:` line")?,
-        query.ok_or("missing `query:` line")?,
-        fks,
-        db,
-    ))
-}
-
 /// Resolves the problem text from `--problem` and/or the explicit flags
 /// (explicit flags win over file fields). The fourth component is the
 /// file's inline `db:` facts, if any.
@@ -295,7 +270,7 @@ fn problem_inputs(args: &Args) -> Result<(String, String, String, Option<String>
         None => None,
     };
     let (f_schema, f_query, f_fks, f_db) = match file {
-        Some((s, q, f, d)) => (Some(s), Some(q), Some(f), d),
+        Some(f) => (Some(f.schema), Some(f.query), Some(f.fks), f.db),
         None => (None, None, None, None),
     };
     Ok((

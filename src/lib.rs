@@ -50,6 +50,8 @@ pub use cqa_repair as repair;
 pub use cqa_serve as serve;
 pub use cqa_solvers as solvers;
 
+pub mod problem_file;
+
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use cqa_analyze::{AuditReport, Code, Diagnostic, ReadSet};
