@@ -487,8 +487,9 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
         name: "semijoin_vs_backtracking",
         workload: "acyclic non-key join {A(x,u), B(y,u)} with disjoint u-value sets \
                    (unsatisfiable), n rows per relation: CompiledQuery::satisfies_via pinned \
-                   to Backtracking (n² scan×scan) vs Semijoin (Yannakakis passes over the \
-                   columnar projection); headline at the largest size",
+                   to Backtracking (n² scan×scan) vs Semijoin (one filtered scan per atom, \
+                   then a hashed semijoin pass per join-forest edge); headline at the \
+                   largest size",
         unit: "×",
         headline: last_ratio(&rows),
         rows,

@@ -5,11 +5,10 @@
 //! stores each fact once, in a per-relation row table with a hash map from
 //! key prefix to the rows of that block and a full-row membership table
 //! ([`InstanceIndex`]), so block enumeration — the primitive of every CQA
-//! algorithm — is direct, and point reads are hash probes. Readers that need the canonical (sorted)
-//! order read the key-sorted [`ColumnarRelation`] derived from that table.
+//! algorithm — is direct, and point reads are hash probes. Readers that
+//! promise the canonical (sorted) order sort a relation's row ids on demand.
 
 use crate::binding::{Binding, CompiledAtom};
-use crate::columnar::ColumnarRelation;
 use crate::delta::{Delta, DeltaOp};
 use crate::error::ModelError;
 use crate::fact::Fact;
@@ -185,14 +184,15 @@ impl Instance {
 
     /// Facts of one relation, in canonical order.
     pub fn facts_of(&self, rel: RelName) -> impl Iterator<Item = Fact> + '_ {
-        self.store
-            .columnar(rel)
-            .into_iter()
-            .flat_map(move |col| (0..col.n_rows()).map(move |i| Fact::new(rel, col.row(i))))
+        self.store.rel(rel).into_iter().flat_map(move |r| {
+            r.sorted_ids()
+                .into_iter()
+                .map(move |i| Fact::new(rel, r.row(i)))
+        })
     }
 
     /// The rows of every relation, in arbitrary order — for readers whose
-    /// result does not depend on order, so they skip the sorted projection.
+    /// result does not depend on order, so they skip the sort.
     fn rows(&self) -> impl Iterator<Item = (RelName, &[Cst])> + '_ {
         self.store
             .rels
@@ -229,15 +229,17 @@ impl Instance {
 
     /// All blocks of `rel` as `(key, facts)` pairs, in canonical order.
     pub fn blocks(&self, rel: RelName) -> Vec<(Box<[Cst]>, Vec<Fact>)> {
-        let Some(col) = self.store.columnar(rel) else {
+        let Some(r) = self.store.rel(rel) else {
             return Vec::new();
         };
-        col.blocks()
-            .map(|(key, rows)| {
-                (
-                    key.into(),
-                    rows.map(|i| Fact::new(rel, col.row(i))).collect(),
-                )
+        // The key is a prefix of the row, so the sorted rows of one block
+        // are adjacent.
+        let key = |id: u32| &r.row(id)[..r.key_len];
+        r.sorted_ids()
+            .chunk_by(|&a, &b| key(a) == key(b))
+            .map(|ids| {
+                let facts = ids.iter().map(|&i| Fact::new(rel, r.row(i))).collect();
+                (key(ids[0]).into(), facts)
             })
             .collect()
     }
@@ -307,14 +309,17 @@ impl Instance {
     pub fn pk_violations(&self) -> Vec<(RelName, Box<[Cst]>)> {
         let mut out = Vec::new();
         for (rel, _) in self.schema.relations() {
-            let Some(col) = self.store.columnar(rel) else {
+            let Some(r) = self.store.rel(rel) else {
                 continue;
             };
-            out.extend(
-                col.blocks()
-                    .filter(|(_, rows)| rows.len() > 1)
-                    .map(|(key, _)| (rel, key.into())),
-            );
+            let mut keys: Vec<&[Cst]> = r
+                .blocks
+                .iter()
+                .filter(|(_, ids)| ids.as_slice().len() > 1)
+                .map(|(key, _)| &**key)
+                .collect();
+            keys.sort_unstable();
+            out.extend(keys.into_iter().map(|key| (rel, key.into())));
         }
         out
     }
@@ -429,8 +434,7 @@ impl Instance {
 ///
 /// Row order in `all` (and id order within a block's index list) is
 /// **arbitrary**: inserts append and removes swap-remove. Consumers that
-/// need a deterministic order read the key-sorted columnar projection
-/// instead.
+/// need a deterministic order sort the ids ([`RelIndex::sorted_ids`]).
 #[derive(Clone, Debug)]
 pub(crate) struct RelIndex {
     pub(crate) key_len: usize,
@@ -444,10 +448,6 @@ pub(crate) struct RelIndex {
     /// Every row id, keyed by its full row: the dedup, remove and
     /// `contains` probe, O(1) however large the row's block.
     members: RowSet,
-    /// Lazily built read-optimized projection of `all`: one column per
-    /// position, rows sorted so blocks are contiguous ranges. Any
-    /// mutation of the relation discards it; the next reader rebuilds.
-    columnar: OnceLock<ColumnarRelation>,
 }
 
 impl RelIndex {
@@ -458,15 +458,7 @@ impl RelIndex {
             all: Vec::new(),
             blocks: HashMap::new(),
             members: RowSet::new(),
-            columnar: OnceLock::new(),
         }
-    }
-
-    /// The columnar projection, built on first demand after a mutation.
-    pub(crate) fn columnar(&self) -> &ColumnarRelation {
-        self.columnar.get_or_init(|| {
-            ColumnarRelation::from_slices(self.key_len, self.arity, self.rows().iter().collect())
-        })
     }
 
     /// The number of rows.
@@ -487,6 +479,16 @@ impl RelIndex {
     /// The row ids of the block with this key (empty when absent).
     pub(crate) fn block(&self, key: &[Cst]) -> &[u32] {
         self.blocks.get(key).map_or(&[], BlockIds::as_slice)
+    }
+
+    /// Every row id, ordered by row: the canonical order. Rows are
+    /// distinct, so the order is total and the key-prefix blocks come out
+    /// contiguous.
+    fn sorted_ids(&self) -> Vec<u32> {
+        let len = u32::try_from(self.len()).expect("row count fits in u32");
+        let mut ids: Vec<u32> = (0..len).collect();
+        ids.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+        ids
     }
 }
 
@@ -765,7 +767,6 @@ impl InstanceIndex {
         if let Some(d) = self.domains.get_mut() {
             d.count_row(sig.key_len, row);
         }
-        r.columnar.take();
         r.all.extend_from_slice(row);
         true
     }
@@ -789,7 +790,6 @@ impl InstanceIndex {
         if let Some(d) = self.domains.get_mut() {
             d.uncount_row(r.key_len, row);
         }
-        r.columnar.take();
         let (arity, last) = (r.arity, r.len() - 1);
         let last_id = u32::try_from(last).expect("row count fits in u32");
         if id != last_id {
@@ -846,14 +846,6 @@ impl InstanceIndex {
     /// The per-relation index handles (for [`crate::view::InstanceView`]).
     pub(crate) fn rel(&self, rel: RelName) -> Option<&RelIndex> {
         self.rels.get(&rel)
-    }
-
-    /// The key-sorted columnar projection of `rel`, built lazily from the
-    /// row table on first demand (and rebuilt after any mutation of the
-    /// relation, which invalidates the cached projection). `None` when the
-    /// relation has never held a row.
-    pub fn columnar(&self, rel: RelName) -> Option<&ColumnarRelation> {
-        self.rels.get(&rel).map(RelIndex::columnar)
     }
 
     /// Full-fact membership: one probe of the relation's membership
@@ -1184,33 +1176,6 @@ mod tests {
         assert!(!db.adom().contains(&Cst::new("x")), "adom must shrink");
         // Emptied relation: the S-block of key 1 is gone.
         assert!(db.block(RelName::new("S"), &[Cst::new("1")]).is_empty());
-    }
-
-    #[test]
-    fn columnar_projection_tracks_mutations() {
-        let mut db = db();
-        let r = RelName::new("R");
-        let col = db.index().columnar(r).unwrap();
-        assert_eq!(col.n_rows(), 3);
-        assert_eq!(col.block_count(), 2);
-        // Key column is sorted; blocks cover every row exactly once.
-        assert!(col.column(0).windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(col.blocks().map(|(_, r)| r.len()).sum::<usize>(), 3);
-
-        // A mutation through the in-place patch path invalidates the
-        // projection; the rebuilt one reflects the new rows.
-        db.insert_named("R", &["c", "5"]).unwrap();
-        let col = db.index().columnar(r).unwrap();
-        assert_eq!(col.n_rows(), 4);
-        assert_eq!(col.block_count(), 3);
-        db.remove(&Fact::from_names("R", &["a", "1"])).unwrap();
-        db.remove(&Fact::from_names("R", &["a", "2"])).unwrap();
-        let col = db.index().columnar(r).unwrap();
-        assert_eq!(col.n_rows(), 2);
-        assert!(col.block_range(&[Cst::new("a")]).is_none());
-        // The projection is canonical: equal to one built from scratch.
-        let rebuilt = db.rebuild_index();
-        assert_eq!(*col, *rebuilt.columnar(r).unwrap());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! **Ordering is by intern id**: `Sym`, `Cst`, `Var` and
 //! [`RelName`](crate::RelName) compare as `u32`, with no lock and no string
-//! read, so every sorted set, map and columnar sort inside the system costs
-//! an integer compare. Id order depends on the order in which a process
+//! read, so every sorted set, map and row sort inside the system costs an
+//! integer compare. Id order depends on the order in which a process
 //! first met each name, so nothing a user sees may follow it. *String*
 //! order applies only at the output boundaries, through the one
 //! [`by_name`] comparator ([`ByName`] lifts it to facts, foreign keys,

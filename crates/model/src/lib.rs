@@ -15,8 +15,7 @@
 //!   database [`Instance`]s with primary-key *block* indexes;
 //! * unary [`ForeignKey`]s `R[i] → S` and sets thereof ([`fk`]);
 //! * conjunctive-query evaluation (homomorphism search) ([`eval`]), with
-//!   key-sorted columnar projections ([`columnar`]) and Yannakakis semijoin
-//!   execution for acyclic conjunctions ([`acyclic`]);
+//!   Yannakakis semijoin execution for acyclic conjunctions ([`acyclic`]);
 //! * a small text syntax for schemas, queries, foreign keys and instances
 //!   ([`parser`]).
 //!
@@ -29,7 +28,6 @@
 pub mod acyclic;
 pub mod atom;
 pub mod binding;
-pub mod columnar;
 pub mod delta;
 pub mod error;
 pub mod eval;
@@ -46,7 +44,6 @@ pub mod view;
 pub use acyclic::{is_acyclic, JoinStrategy, SemijoinPlan};
 pub use atom::Atom;
 pub use binding::{Binding, CompiledAtom, Slot, SlotTerm, Trail};
-pub use columnar::ColumnarRelation;
 pub use delta::{Delta, DeltaOp};
 pub use error::ModelError;
 pub use eval::{

@@ -23,14 +23,15 @@
 //! per block fact without copying anything.
 //!
 //! The [`FactSource`] trait is the common surface the compiled evaluators
-//! (the CQ join of [`crate::eval::CompiledQuery`] and the formula evaluator
-//! of `cqa-fo`) consume: candidate rows for a guard atom, full-fact
-//! membership, and the active domain. Both the raw [`InstanceIndex`] and an
-//! [`InstanceView`] implement it, so one compiled artifact evaluates over
-//! full databases and reduced views alike.
+//! (the CQ join of [`crate::eval::CompiledQuery`], its semijoin passes in
+//! [`crate::acyclic`], and the formula evaluator of `cqa-fo`) consume:
+//! candidate rows for a guard atom, full-fact membership, the active
+//! domain, and each relation's key length. Every row it hands out is a
+//! borrowed slice of the one row table. Both the raw [`InstanceIndex`] and
+//! an [`InstanceView`] implement it, so one compiled artifact evaluates
+//! over full databases and reduced views alike.
 
 use crate::binding::{Binding, CompiledAtom};
-use crate::columnar::ColumnarRelation;
 use crate::instance::{Candidates, Instance, InstanceIndex, RelIndex};
 use crate::intern::Cst;
 use crate::schema::RelName;
@@ -64,13 +65,6 @@ pub trait FactSource {
     /// selection ([`crate::acyclic::SemijoinPlan::prefers_semijoin`]) uses
     /// it to predict whether the backtracking join can probe by key.
     fn key_len(&self, rel: RelName) -> Option<usize>;
-
-    /// The key-sorted columnar projection of `rel`, when the source can
-    /// serve whole column slices for it. A filtered or hidden relation
-    /// cannot (its columns would leak rows the view excludes) and returns
-    /// `None`; callers must treat `None` as "iterate rows instead", never
-    /// as "empty". Serving a projection counts as a whole-relation scan.
-    fn columnar(&self, rel: RelName) -> Option<&ColumnarRelation>;
 }
 
 impl FactSource for InstanceIndex {
@@ -93,10 +87,6 @@ impl FactSource for InstanceIndex {
 
     fn key_len(&self, rel: RelName) -> Option<usize> {
         self.rel(rel).map(|r| r.key_len)
-    }
-
-    fn columnar(&self, rel: RelName) -> Option<&ColumnarRelation> {
-        InstanceIndex::columnar(self, rel)
     }
 }
 
@@ -416,17 +406,6 @@ impl FactSource for InstanceView<'_> {
         // Schema metadata, independent of visibility or filters; nothing
         // data-dependent is revealed, so nothing is logged.
         self.idx.rel(rel).map(|r| r.key_len)
-    }
-
-    fn columnar(&self, rel: RelName) -> Option<&ColumnarRelation> {
-        if !self.visible.contains(&rel) || self.filters.contains_key(&rel) {
-            // A filtered view cannot hand out whole columns: they would
-            // include rows of filtered-out blocks.
-            return None;
-        }
-        let r = self.idx.rel(rel)?;
-        self.note_scan(rel);
-        Some(r.columnar())
     }
 }
 

@@ -3,13 +3,14 @@
 //! emptied and refilled, and active-domain shrink), the in-place-patched
 //! [`Instance`] store must stay canonically equal to a from-scratch
 //! rebuild, its readers must keep the canonical (sorted) order of a
-//! `BTreeSet<Fact>` model, the epoch must count exactly the effective
-//! mutations, and batch [`Instance::apply`] must agree with op-by-op
-//! application.
+//! `BTreeSet<Fact>` model, an [`InstanceView`]'s unordered blocks must
+//! tile the instance's sorted ones, the epoch must count exactly the
+//! effective mutations, and batch [`Instance::apply`] must agree with
+//! op-by-op application.
 
-use cqa_model::{Cst, Delta, Fact, Instance};
+use cqa_model::{Cst, Delta, Fact, Instance, InstanceView};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Small pools so the same fact is inserted, removed and reinserted often,
@@ -41,8 +42,9 @@ fn empty_db() -> Instance {
 }
 
 /// Every reader of `db` agrees with the sorted fact set `model`: `facts()`
-/// in sorted order, blocks key-ascending with sorted rows, point probes and
-/// primary-key checks.
+/// in sorted order, blocks key-ascending with sorted rows (and equal, once
+/// sorted, to the unfiltered view's blocks), point probes and primary-key
+/// checks.
 fn check_against_model(db: &Instance, model: &BTreeSet<Fact>) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         db.facts().collect::<Vec<_>>(),
@@ -66,6 +68,20 @@ fn check_against_model(db: &Instance, model: &BTreeSet<Fact>) -> Result<(), Test
                 violations.push((rel, key.clone()));
             }
         }
+        let view_blocks: BTreeMap<Box<[Cst]>, Vec<Fact>> = InstanceView::new(db)
+            .blocks(rel)
+            .into_iter()
+            .map(|(key, rows)| {
+                let mut facts: Vec<Fact> = rows.iter().map(|&row| Fact::new(rel, row)).collect();
+                facts.sort_unstable();
+                (key.into(), facts)
+            })
+            .collect();
+        prop_assert_eq!(
+            view_blocks.into_iter().collect::<Vec<_>>(),
+            blocks,
+            "view blocks tile the sorted blocks"
+        );
     }
     prop_assert_eq!(db.satisfies_pk(), violations.is_empty());
     prop_assert_eq!(db.pk_violations(), violations);

@@ -48,7 +48,8 @@
 //!
 //! Databases are text files of facts (`R(a,1); S(1,x)` — see
 //! `cqa_model::parser`). Every command that reads a database also takes it
-//! inline: `--db-text "R(a,1) S(1,x)"` in place of `--db FILE`.
+//! inline: `--db-text "R(a,1) S(1,x)"` in place of `--db FILE`. Giving
+//! both, or any flag twice, is a usage error.
 //!
 //! ## Exit codes
 //!
@@ -115,7 +116,11 @@ fn parse_args() -> Result<Args, String> {
         db_text: None,
         line: None,
     };
+    let mut seen = std::collections::HashSet::new();
     while let Some(flag) = argv.next() {
+        if !seen.insert(flag.clone()) {
+            return Err(format!("{flag} given twice\n{}", usage()));
+        }
         if flag == "--execute" {
             args.execute = true;
             continue;
@@ -151,6 +156,9 @@ fn parse_args() -> Result<Args, String> {
             "--line" => args.line = Some(value),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
+    }
+    if args.db.is_some() && args.db_text.is_some() {
+        return Err(format!("--db and --db-text are exclusive\n{}", usage()));
     }
     Ok(args)
 }

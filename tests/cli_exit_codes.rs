@@ -105,6 +105,32 @@ fn db_text_is_an_inline_database_for_every_db_command() {
 }
 
 #[test]
+fn conflicting_or_repeated_flags_are_usage_errors() {
+    // Regression: with both `--db` and `--db-text`, `solve` read the file
+    // and `request` sent the text, so the same flags gave opposite
+    // verdicts; a repeated flag silently kept its last value.
+    let db = write_db("conflict", "R(a,b)");
+    let db = db.to_str().unwrap();
+    let rs: &[&str] = &["--schema", "R[2,1] S[1,1]", "--query", "R(x,y), S(y)"];
+    let sock = "/tmp/cqa-never-bound.sock";
+    let cases: [&[&str]; 4] = [
+        &["solve", "--db", db, "--db-text", "R(a,b) S(b)"],
+        &["request", "--socket", sock, "--db-text", "S(b)", "--db", db],
+        &["solve", "--db-text", "R(a,b)", "--db-text", "R(a,b) S(b)"],
+        &["emit", "--execute", "--db-text", "S(b)", "--execute"],
+    ];
+    for args in cases {
+        let out = cqa().args(args).args(rs).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?} prints the usage line"
+        );
+    }
+    let _ = std::fs::remove_file(db);
+}
+
+#[test]
 fn serve_refuses_invalid_env_instead_of_degrading() {
     // A long-lived server must not silently degrade a bad CQA_THREADS to
     // the default width: `cqa serve` validates strictly and exits 2
