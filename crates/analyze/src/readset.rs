@@ -12,9 +12,9 @@
 //! relation `R` can influence the plan's answer, then
 //! [`ReadSet::may_read`]`(R, k)` is `true`.
 //!
-//! The incremental solver consumes this: a delta none of whose facts may be
-//! read leaves the previous verdict (and residual cache) valid — the
-//! *Unaffected* rung now fires per *block*, not per relation.
+//! The incremental solver consumes this: a delta none of whose facts may
+//! be read leaves the previous verdict (and the session's per-row state)
+//! valid — the *Unaffected* rung fires per *block*, not per relation.
 
 use crate::ir::{FormulaIr, OpIr, PatIr, PlanIr, TailIr};
 use cqa_model::{by_name, sort_by_name, Cst, RelName};

@@ -429,6 +429,32 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
                 v.provenance.delta
             );
         }
+        // A residual fact: removing and restoring P(w0) re-evaluates only
+        // the row whose probes read it.
+        let p = cqa_model::parser::parse_fact("P(w0)").unwrap();
+        for insert in [false, true] {
+            let mut delta = cqa_model::Delta::new();
+            if insert {
+                delta.insert(p.clone());
+            } else {
+                delta.remove(p.clone());
+            }
+            let v = session.reanswer(&mut db, &delta).unwrap();
+            check.apply(&delta).unwrap();
+            assert_eq!(
+                v.as_bool(),
+                solver.solve(&check).as_bool(),
+                "incremental and from-scratch disagree at n={n} after {delta}"
+            );
+            assert!(
+                matches!(
+                    v.provenance.delta,
+                    Some(cqa_core::DeltaOutcome::Localized { evaluated: 1, .. })
+                ),
+                "a P-delta must localize to one row at n={n}: {:?}",
+                v.provenance.delta
+            );
+        }
 
         let mut full_db = nested_l45_instance(&ps, n);
         let facts = full_db.len();
@@ -455,8 +481,8 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
         name: "reanswer_vs_full_resolve",
         workload: "the nested Lemma 45 problem under a single-fact delta (remove/reinsert one \
                    outer N('c',∗) block fact): Instance::apply + full Solver::solve vs \
-                   IncrementalSolver::reanswer (cached residuals for the untouched block \
-                   facts); headline at the largest size",
+                   IncrementalSolver::reanswer (per-row state: only the toggled row is \
+                   evaluated or dropped); headline at the largest size",
         unit: "×",
         headline: last_ratio(&rows),
         rows,

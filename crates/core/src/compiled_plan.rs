@@ -50,9 +50,10 @@ use crate::problem::Problem;
 use cqa_analyze::{AuditReport, L45Ir, OpIr, PatIr, PlanIr, QueryIr, ReadSet, TailIr};
 use cqa_fo::{CompiledFormula, Strategy};
 use cqa_model::{
-    sort_by_name, CompiledQuery, Cst, ForeignKey, Instance, InstanceView, JoinStrategy, ReadLog,
-    RelName, Schema, Term, Var,
+    sort_by_name, CompiledQuery, Cst, Delta, ForeignKey, Instance, InstanceView, JoinStrategy,
+    ReadLog, RelName, Schema, Term, Var,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -419,12 +420,15 @@ impl CompiledPlan {
     /// and `rel` is read **nowhere else** — no filter ops precede the tail,
     /// the residual plan never reads `rel`, and no foreign key of the step
     /// points back into `rel`. In that shape the plan reads `rel` only
-    /// through `block_rows(rel, key)`, so a delta confined to `rel` can
-    /// only change the answer through the rows of that one block, and each
-    /// block fact's residual verdict depends on the fact's content plus the
-    /// *untouched* rest of the database — exactly what
-    /// [`CompiledPlan::answer_delta`] caches. `None` means deltas touching
-    /// the plan's reads need a full re-answer (detected, never stale).
+    /// through `block_rows(rel, key)`: the answer is a conjunction over the
+    /// rows of that one block, and each row's part of it (its non-dangling
+    /// flag and its residual verdict) depends only on the row's content
+    /// and on the blocks of *other* relations its evaluation probes. That
+    /// is what lets an incremental session maintain the answer row by row
+    /// ([`crate::IncrementalSolver`]): a delta re-evaluates only the rows
+    /// it inserts into the block and the rows whose recorded probes it
+    /// touches. `None` means every delta touching the plan's reads needs a
+    /// full re-answer (detected, never stale).
     pub fn localizable_rel(&self) -> Option<RelName> {
         if self.n_params != 0 || !self.ops.is_empty() {
             return None;
@@ -441,25 +445,35 @@ impl CompiledPlan {
         Some(l.rel)
     }
 
-    /// Evaluates a [`CompiledPlan::localizable_rel`] plan through a
-    /// [`ResidualCache`]: block facts whose content is cached reuse their
-    /// residual verdict; only uncached facts (the delta's new rows, or rows
-    /// an earlier early-exit never reached) evaluate the residual plan. The
-    /// cheap per-call parts — block emptiness and the existential
-    /// non-dangling witness — are re-run every time. Returns
-    /// `(answer, reused, evaluated)`.
-    ///
-    /// # Panics
-    /// If the plan is not localizable ([`CompiledPlan::localizable_rel`]
-    /// returned `None`).
-    pub fn answer_delta(&self, db: &Instance, cache: &mut ResidualCache) -> (bool, usize, usize) {
-        self.localizable_rel()
-            .expect("answer_delta requires a localizable plan");
-        let CompiledTail::Lemma45(l) = &self.tail else {
+    /// Evaluates every row of a [`CompiledPlan::localizable_rel`] plan's
+    /// block in `db` into a fresh [`BlockState`]; `None` when the plan is
+    /// not localizable.
+    pub(crate) fn block_state(&self, db: &Instance) -> Option<BlockState<'_>> {
+        self.localizable_rel()?;
+        let CompiledTail::Lemma45(tail) = &self.tail else {
             unreachable!("localizable plans have a Lemma 45 tail");
         };
+        let key = tail
+            .key
+            .iter()
+            .map(|t| match t {
+                PatTerm::Cst(c) => *c,
+                _ => unreachable!("localizable keys are ground constants"),
+            })
+            .collect();
+        let mut state = BlockState {
+            tail,
+            rels: &self.rels,
+            key,
+            rows: HashMap::new(),
+            readers: HashMap::new(),
+            non_dangling: 0,
+            failing: 0,
+        };
         let view = InstanceView::new(db).restrict(&self.rels);
-        l.eval_cached(&view, cache)
+        let block = view.block_rows(tail.rel, &state.key);
+        state.refresh(db, block.into_iter().map(Arc::from));
+        Some(state)
     }
 
     /// Evaluates over a view (already reduced by enclosing levels).
@@ -591,90 +605,7 @@ fn non_dangling(view: &InstanceView<'_>, row: &[Cst], outgoing: &[ForeignKey]) -
     })
 }
 
-/// A per-session cache of Lemma 45 residual verdicts for
-/// [`CompiledPlan::answer_delta`], keyed by block-fact **content**: a fact
-/// removed and later reinserted hits its old entry, and a fact that left
-/// the block simply stops being consulted. Entries stay valid exactly as
-/// long as the relations the residual plan reads are untouched — the
-/// owning session ([`crate::IncrementalSolver`]) clears the cache whenever
-/// a delta forces a full re-answer.
-#[derive(Clone, Debug, Default)]
-pub struct ResidualCache {
-    rows: HashMap<Box<[Cst]>, bool>,
-}
-
-impl ResidualCache {
-    /// An empty cache.
-    pub fn new() -> ResidualCache {
-        ResidualCache::default()
-    }
-
-    /// Drops every cached residual verdict.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-    }
-
-    /// Number of cached residual verdicts.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 impl CompiledLemma45 {
-    /// The cached form of [`CompiledLemma45::eval`] for localizable plans
-    /// (parameterless, constant key): conjunction over the block's current
-    /// rows with per-row memoization. Returns `(answer, reused, evaluated)`.
-    fn eval_cached(
-        &self,
-        view: &InstanceView<'_>,
-        cache: &mut ResidualCache,
-    ) -> (bool, usize, usize) {
-        let key: Vec<Cst> = self
-            .key
-            .iter()
-            .map(|t| match t {
-                PatTerm::Cst(c) => *c,
-                _ => unreachable!("localizable keys are ground constants"),
-            })
-            .collect();
-        let block = view.block_rows(self.rel, &key);
-        if block.is_empty() {
-            return (false, 0, 0);
-        }
-        if !block
-            .iter()
-            .any(|row| non_dangling(view, row, &self.outgoing))
-        {
-            return (false, 0, 0);
-        }
-        let mut xs_vals: Vec<Option<Cst>> = vec![None; self.n_xs];
-        let mut sub_args: Vec<Cst> = Vec::with_capacity(self.n_xs);
-        let (mut reused, mut evaluated) = (0, 0);
-        for row in &block {
-            let verdict = match cache.rows.get(*row) {
-                Some(&v) => {
-                    reused += 1;
-                    v
-                }
-                None => {
-                    evaluated += 1;
-                    let v = self.eval_row(view, &[], row, &mut xs_vals, &mut sub_args);
-                    cache.rows.insert((*row).into(), v);
-                    v
-                }
-            };
-            if !verdict {
-                return (false, reused, evaluated);
-            }
-        }
-        (true, reused, evaluated)
-    }
-
     fn eval(&self, view: &InstanceView<'_>, args: &[Cst]) -> bool {
         let key: Vec<Cst> = self
             .key
@@ -738,6 +669,161 @@ impl CompiledLemma45 {
         sub_args.extend_from_slice(args);
         sub_args.extend(xs_vals.iter().map(|v| v.expect("⃗x covers the atom")));
         self.sub.eval(view, sub_args)
+    }
+}
+
+/// One probe of a row evaluation, as a [`ReadLog`] records it:
+/// `(relation, Some(block key))`, or `(relation, None)` for a scan of the
+/// whole relation.
+type Probe = (RelName, Option<Vec<Cst>>);
+
+/// What a [`BlockState`] knows about one row of the block.
+#[derive(Debug)]
+struct TrackedRow {
+    non_dangling: bool,
+    /// The row's residual verdict ([`CompiledLemma45::eval_row`]).
+    holds: bool,
+    /// Every probe the row's last evaluation made.
+    probes: Vec<Probe>,
+}
+
+/// The maintained answer of a [`CompiledPlan::localizable_rel`] plan —
+/// counting-based view maintenance (Gupta–Mumick–Subrahmanian, SIGMOD
+/// 1993) of the Lemma 45 universal over the block `N(c⃗, ·)`.
+///
+/// For every row currently in the block the state holds the row's
+/// non-dangling flag, its residual verdict and the probes that produced
+/// them; three counts fold those into the answer `rows > 0 ∧
+/// non_dangling > 0 ∧ failing = 0` (the same conjunction
+/// [`CompiledLemma45::eval`] computes). A dependency index inverts the
+/// probes into `(relation, key) → rows`, so a delta re-evaluates only the
+/// rows it adds to the block and the rows whose probes cover a block it
+/// changes; a row that scanned a whole relation depends on every fact of
+/// it. Rows that leave the block are dropped with their index entries, so
+/// the state is bounded by the live block.
+#[derive(Debug)]
+pub(crate) struct BlockState<'p> {
+    tail: &'p CompiledLemma45,
+    /// The plan's view restriction.
+    rels: &'p BTreeSet<RelName>,
+    key: Box<[Cst]>,
+    rows: HashMap<Arc<[Cst]>, TrackedRow>,
+    readers: HashMap<Probe, HashSet<Arc<[Cst]>>>,
+    non_dangling: usize,
+    failing: usize,
+}
+
+impl BlockState<'_> {
+    /// The plan's answer on the instance the state was last brought up to
+    /// date with.
+    pub(crate) fn answer(&self) -> bool {
+        !self.rows.is_empty() && self.non_dangling > 0 && self.failing == 0
+    }
+
+    /// The number of tracked rows — the rows of the block.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The tracked rows, and every row some dependency index entry names.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> (BTreeSet<&[Cst]>, BTreeSet<&[Cst]>) {
+        let tracked = self.rows.keys().map(|r| &**r).collect();
+        let indexed = self.readers.values().flatten().map(|r| &**r).collect();
+        (tracked, indexed)
+    }
+
+    /// Brings the state up to date after `delta` was applied to `db`, which
+    /// must be the instance the state was last brought up to date with.
+    /// Returns the number of rows evaluated.
+    pub(crate) fn apply(&mut self, db: &Instance, delta: &Delta) -> usize {
+        let mut dirty: Vec<Arc<[Cst]>> = Vec::new();
+        for op in delta.ops() {
+            let fact = op.fact();
+            if fact.rel == self.tail.rel {
+                // Localizability: the plan reads `rel` nowhere but this
+                // block, so ops on its other blocks change nothing.
+                if fact.args.starts_with(&self.key) {
+                    dirty.push(Arc::from(&*fact.args));
+                }
+                continue;
+            }
+            let key_len = db.schema().signature(fact.rel).map_or(0, |s| s.key_len);
+            let key = fact.args[..key_len.min(fact.args.len())].to_vec();
+            for probe in [(fact.rel, None), (fact.rel, Some(key))] {
+                if let Some(rows) = self.readers.get(&probe) {
+                    dirty.extend(rows.iter().cloned());
+                }
+            }
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        self.refresh(db, dirty)
+    }
+
+    /// Drops the state of each (distinct) `dirty` row and re-evaluates the
+    /// ones still present in `db`: insert-then-remove, a no-op insert or a
+    /// remove of an absent fact all reconcile by final presence. Returns
+    /// the number of rows evaluated.
+    fn refresh(&mut self, db: &Instance, dirty: impl IntoIterator<Item = Arc<[Cst]>>) -> usize {
+        let mut present = Vec::new();
+        for row in dirty {
+            self.untrack(&row);
+            if db.index().contains(self.tail.rel, &row) {
+                present.push(row);
+            }
+        }
+        if present.is_empty() {
+            return 0;
+        }
+        let log = Arc::new(ReadLog::new());
+        let view = InstanceView::new(db)
+            .restrict(self.rels)
+            .with_read_log(log.clone());
+        let mut xs_vals: Vec<Option<Cst>> = vec![None; self.tail.n_xs];
+        let mut sub_args: Vec<Cst> = Vec::with_capacity(self.tail.n_xs);
+        let evaluated = present.len();
+        for row in present {
+            let non_dangling = non_dangling(&view, &row, &self.tail.outgoing);
+            let holds = self
+                .tail
+                .eval_row(&view, &[], &row, &mut xs_vals, &mut sub_args);
+            let probes = log.take();
+            for probe in &probes {
+                self.readers
+                    .entry(probe.clone())
+                    .or_default()
+                    .insert(row.clone());
+            }
+            self.non_dangling += usize::from(non_dangling);
+            self.failing += usize::from(!holds);
+            self.rows.insert(
+                row,
+                TrackedRow {
+                    non_dangling,
+                    holds,
+                    probes,
+                },
+            );
+        }
+        evaluated
+    }
+
+    /// Forgets `row`, its counts and its dependency index entries.
+    fn untrack(&mut self, row: &[Cst]) {
+        let Some(tracked) = self.rows.remove(row) else {
+            return;
+        };
+        self.non_dangling -= usize::from(tracked.non_dangling);
+        self.failing -= usize::from(!tracked.holds);
+        for probe in tracked.probes {
+            if let Entry::Occupied(mut readers) = self.readers.entry(probe) {
+                readers.get_mut().remove(row);
+                if readers.get().is_empty() {
+                    readers.remove();
+                }
+            }
+        }
     }
 }
 

@@ -51,7 +51,7 @@ pub mod verdict;
 
 pub use answers::{certain_answers, certain_answers_with, AnswerError};
 pub use classify::{classify, Classification, NotFoReason};
-pub use compiled_plan::{CompileError, CompiledPlan, ResidualCache};
+pub use compiled_plan::{CompileError, CompiledPlan};
 pub use depgraph::{fk_star, DepGraph};
 pub use hardness::{lemma14_instance, lemma15_reduction};
 pub use interference::{block_interference, InterferenceWitness};

@@ -52,7 +52,7 @@
 //! ```
 
 use crate::classify::{classify, Classification, NotFoReason};
-use crate::compiled_plan::{CompiledPlan, ResidualCache};
+use crate::compiled_plan::{BlockState, CompiledPlan};
 use crate::flatten::{flatten, FlattenError};
 use crate::pipeline::RewritePlan;
 use crate::problem::Problem;
@@ -924,11 +924,13 @@ impl ExactSizeIterator for SolveMany<'_> {}
 /// computed on a different instance (or on this instance at a different
 /// epoch) is never reused.
 #[derive(Debug)]
-struct SessionState {
+struct SessionState<'s> {
     uid: u64,
     epoch: u64,
     verdict: Verdict,
-    rows: ResidualCache,
+    /// The maintained block of a Δ-localizable plan; `None` on every other
+    /// route.
+    block: Option<BlockState<'s>>,
 }
 
 /// An incremental **delta-certainty** session (from [`Solver::incremental`]):
@@ -947,13 +949,18 @@ struct SessionState {
 ///   the query does not mention.
 /// * [`DeltaOutcome::Localized`] — the compiled plan is Δ-localizable (a
 ///   parameter-free Lemma 45 tail over one ground-key block, with no
-///   self-references; see [`CompiledPlan::localizable_rel`]) and the delta
-///   only touches that relation: the plan re-runs through a per-row
-///   residual cache, so only block facts whose residual was never computed
-///   (or whose content changed) are evaluated.
-/// * [`DeltaOutcome::Recomputed`] — anything else. Non-localizable deltas
-///   are *detected*, and the session falls back to a full from-scratch
-///   solve rather than ever serving a stale verdict.
+///   self-references; see [`CompiledPlan::localizable_rel`]). The session
+///   keeps, per row of that block, its non-dangling flag, its residual
+///   verdict and the (relation, key) blocks its evaluation probed, plus
+///   three counts that give the answer. A delta re-evaluates only the rows
+///   it adds to the block and the rows whose probes it touches, so its
+///   cost follows the rows it can affect, not the block's size. While
+///   the prior is valid, every delta on such a plan that is not
+///   Unaffected lands here.
+/// * [`DeltaOutcome::Recomputed`] — anything else: a stale prior, or a
+///   delta touching the reads of a plan that is not localizable. The
+///   session then solves from scratch rather than ever serving a stale
+///   verdict.
 ///
 /// The session applies the delta itself (single-writer protocol): staleness
 /// is checked against `(uid, epoch)` **before** the mutation, so a caller
@@ -974,11 +981,16 @@ struct SessionState {
 /// let mut session = solver.incremental();
 /// assert!(session.solve(&db).is_certain());
 ///
-/// // Dropping P(b) breaks certainty; only the touched block re-evaluates.
+/// // Dropping P(b) breaks certainty; only the row N(c,b), whose
+/// // evaluation probed P(b), is re-evaluated.
 /// let mut delta = Delta::new();
 /// delta.remove(parse_fact("P(b)").unwrap());
 /// let v = session.reanswer(&mut db, &delta).unwrap();
 /// assert_eq!(v.as_bool(), Some(false));
+/// assert_eq!(
+///     v.provenance.delta,
+///     Some(DeltaOutcome::Localized { reused: 1, evaluated: 1 })
+/// );
 /// ```
 ///
 /// [`solve`]: IncrementalSolver::solve
@@ -995,7 +1007,7 @@ pub struct IncrementalSolver<'s> {
     /// tail probes a ground key — and on every other route the
     /// whole-relation closure of `reads`.
     read_set: ReadSet,
-    state: Option<SessionState>,
+    state: Option<SessionState<'s>>,
 }
 
 impl<'s> IncrementalSolver<'s> {
@@ -1045,9 +1057,9 @@ impl<'s> IncrementalSolver<'s> {
         self.state.as_ref().map(|s| &s.verdict)
     }
 
-    /// Answers `db` from scratch and primes the session state (and, on
-    /// Δ-localizable plans, the residual cache) for subsequent
-    /// [`IncrementalSolver::reanswer`] calls.
+    /// Answers `db` from scratch and primes the session state (on
+    /// Δ-localizable plans: every row of the block, evaluated and
+    /// indexed) for subsequent [`IncrementalSolver::reanswer`] calls.
     pub fn solve(&mut self, db: &Instance) -> Verdict {
         self.recompute(db, None)
     }
@@ -1068,7 +1080,6 @@ impl<'s> IncrementalSolver<'s> {
             .state
             .as_ref()
             .is_some_and(|s| s.uid == db.uid() && s.epoch == db.epoch());
-        let touched = delta.rels();
         db.apply(delta)?;
         if !prior_valid {
             return Ok(self.recompute(
@@ -1085,88 +1096,51 @@ impl<'s> IncrementalSolver<'s> {
         // mentions.) On the compiled FO route this is per-block — a delta
         // to N(d,·) under a plan probing only the N('c') block reuses the
         // verdict even though N itself is a read relation.
-        if self.delta_unread(delta) {
-            let state = self.state.as_mut().expect("prior_valid checked");
-            if state.verdict.as_bool().is_some() {
-                state.epoch = db.epoch();
-                let mut verdict = state.verdict.clone();
-                verdict.provenance.elapsed = start.elapsed();
-                verdict.provenance.batch = 1;
-                verdict.provenance.delta = Some(DeltaOutcome::Unaffected);
-                return Ok(verdict);
-            }
+        let unread = self.delta_unread(delta);
+        let solver = self.solver;
+        let state = self.state.as_mut().expect("prior_valid checked");
+        if unread && state.verdict.as_bool().is_some() {
+            state.epoch = db.epoch();
+            let mut verdict = state.verdict.clone();
+            verdict.provenance.elapsed = start.elapsed();
+            verdict.provenance.batch = 1;
+            verdict.provenance.delta = Some(DeltaOutcome::Unaffected);
+            return Ok(verdict);
         }
-        // Rung 2 — Localized: the compiled plan reads exactly one
-        // ground-key block of `rel` (plus residual lookups in *other*
-        // relations), and the delta's read-set intersection is confined to
-        // `rel`. Cached residuals stay valid because localizability
-        // guarantees the residual never reads `rel` itself.
-        if let Some(c) = self.localizable_plan() {
-            let rel = c.localizable_rel().expect("plan checked localizable");
-            if touched.iter().all(|r| *r == rel || !self.reads.contains(r)) {
-                let depth = self.solver.plan_depth();
-                let state = self.state.as_mut().expect("prior_valid checked");
-                let (ans, reused, evaluated) = c.answer_delta(db, &mut state.rows);
-                let verdict = Verdict {
-                    certainty: Certainty::from_bool(ans),
-                    provenance: Provenance {
-                        backend: BackendKind::CompiledPlan,
-                        elapsed: start.elapsed(),
-                        batch: 1,
-                        plan_depth: depth,
-                        join: self.solver.join_provenance(),
-                        delta: Some(DeltaOutcome::Localized { reused, evaluated }),
-                        detail: None,
-                    },
-                };
-                state.epoch = db.epoch();
-                state.verdict = verdict.clone();
-                return Ok(verdict);
-            }
+        // Rung 2 — Localized: the plan's answer is maintained row by row
+        // over its one ground-key block; the delta re-evaluates the rows it
+        // adds to the block and the rows whose recorded probes it touches.
+        if let Some(block) = &mut state.block {
+            let evaluated = block.apply(db, delta);
+            let outcome = DeltaOutcome::Localized {
+                reused: block.len() - evaluated,
+                evaluated,
+            };
+            let verdict = block_verdict(solver, block, start, Some(outcome));
+            state.epoch = db.epoch();
+            state.verdict = verdict.clone();
+            return Ok(verdict);
         }
-        // Rung 3 — detected as non-localizable: full re-answer.
+        // Rung 3 — a plan that is not localizable: full re-answer.
         Ok(self.recompute(db, Some(DeltaOutcome::Recomputed("delta not localizable"))))
     }
 
-    /// The compiled plan, when the route has one and it is Δ-localizable.
-    fn localizable_plan(&self) -> Option<&'s CompiledPlan> {
-        let solver = self.solver;
-        match &solver.route {
-            Route::FoPlan(r) => r
-                .compiled
-                .as_ref()
-                .filter(|c| c.localizable_rel().is_some()),
-            _ => None,
-        }
-    }
-
-    /// Full re-answer, replacing the session state. Localizable plans
-    /// recompute through the caching evaluator — the plan's single
-    /// ground-key block is everything it reads, so the cached run *is* the
-    /// full answer and the residual cache comes out warm for the next
-    /// delta. Everything else goes through [`Solver::solve`] with a fresh
-    /// (empty) cache.
+    /// Full re-answer, replacing the session state. A Δ-localizable plan
+    /// answers by building its [`BlockState`] — the plan reads nothing but
+    /// its one block and the rows' probes, so evaluating every row *is*
+    /// the full answer — and everything else goes through
+    /// [`Solver::solve`].
     fn recompute(&mut self, db: &Instance, outcome: Option<DeltaOutcome>) -> Verdict {
-        let mut rows = ResidualCache::new();
-        let verdict = match self.localizable_plan() {
-            Some(c) => {
-                let start = Instant::now();
-                let (ans, _, _) = c.answer_delta(db, &mut rows);
-                Verdict {
-                    certainty: Certainty::from_bool(ans),
-                    provenance: Provenance {
-                        backend: BackendKind::CompiledPlan,
-                        elapsed: start.elapsed(),
-                        batch: 1,
-                        plan_depth: self.solver.plan_depth(),
-                        join: self.solver.join_provenance(),
-                        delta: outcome,
-                        detail: None,
-                    },
-                }
-            }
+        let start = Instant::now();
+        let solver = self.solver;
+        let block = match &solver.route {
+            Route::FoPlan(r) => r.compiled.as_ref().and_then(|c| c.block_state(db)),
+            _ => None,
+        };
+        let verdict = match &block {
+            Some(block) => block_verdict(solver, block, start, outcome),
             None => {
-                let mut v = self.solver.solve(db);
+                let mut v = solver.solve(db);
                 v.provenance.delta = outcome;
                 v
             }
@@ -1175,9 +1149,30 @@ impl<'s> IncrementalSolver<'s> {
             uid: db.uid(),
             epoch: db.epoch(),
             verdict: verdict.clone(),
-            rows,
+            block,
         });
         verdict
+    }
+}
+
+/// The verdict a session's maintained block gives, timed from `start`.
+fn block_verdict(
+    solver: &Solver,
+    block: &BlockState<'_>,
+    start: Instant,
+    delta: Option<DeltaOutcome>,
+) -> Verdict {
+    Verdict {
+        certainty: Certainty::from_bool(block.answer()),
+        provenance: Provenance {
+            backend: BackendKind::CompiledPlan,
+            elapsed: start.elapsed(),
+            batch: 1,
+            plan_depth: solver.plan_depth(),
+            join: solver.join_provenance(),
+            delta,
+            detail: None,
+        },
     }
 }
 
@@ -1433,8 +1428,8 @@ mod tests {
         assert_eq!(v.provenance.delta, Some(DeltaOutcome::Unaffected));
         assert_eq!(v.as_bool(), Some(true));
 
-        // A new block fact localizes: the cached residuals of the two old
-        // rows are reused, only the new row is evaluated (and falsifies).
+        // A new block fact localizes: the two old rows keep their state,
+        // only the new row is evaluated (and falsifies).
         let mut dn = Delta::new();
         dn.insert(parse_fact("N(c,e)").unwrap());
         let v = session.reanswer(&mut db, &dn).unwrap();
@@ -1447,7 +1442,7 @@ mod tests {
             })
         );
 
-        // Removing it flips the verdict back — from cache alone.
+        // Removing it flips the verdict back — from the counts alone.
         let mut dr = Delta::new();
         dr.remove(parse_fact("N(c,e)").unwrap());
         let v = session.reanswer(&mut db, &dr).unwrap();
@@ -1460,15 +1455,29 @@ mod tests {
             })
         );
 
-        // Touching a residual-read relation (P) is NOT localizable: the
-        // session detects it and recomputes from scratch.
+        // Touching a residual-read relation (P) re-evaluates only the row
+        // whose evaluation probed P(b); O(zz) is probed by no row.
         let mut dp = Delta::new();
         dp.remove(parse_fact("P(b)").unwrap());
         let v = session.reanswer(&mut db, &dp).unwrap();
         assert_eq!(v.as_bool(), Some(false));
         assert_eq!(
             v.provenance.delta,
-            Some(DeltaOutcome::Recomputed("delta not localizable"))
+            Some(DeltaOutcome::Localized {
+                reused: 1,
+                evaluated: 1
+            })
+        );
+        let mut dnew = Delta::new();
+        dnew.insert(parse_fact("O(zz)").unwrap());
+        let v = session.reanswer(&mut db, &dnew).unwrap();
+        assert_eq!(v.as_bool(), Some(false));
+        assert_eq!(
+            v.provenance.delta,
+            Some(DeltaOutcome::Localized {
+                reused: 2,
+                evaluated: 0
+            })
         );
 
         // Out-of-band mutation bumps the epoch behind the session's back:
@@ -1481,6 +1490,105 @@ mod tests {
             Some(DeltaOutcome::Recomputed(
                 "no prior verdict for this instance state"
             ))
+        );
+    }
+
+    #[test]
+    fn incremental_session_state_stays_bounded_by_the_live_block() {
+        use cqa_model::{Cst, Fact};
+        let s = Arc::new(parse_schema("N[2,1] M[2,1] Q[1,1] P[1,1] O[1,1]").unwrap());
+        let solver = Solver::new(problem(
+            &s,
+            "N('c',y), M(y,w), Q(w), P(w), O(y)",
+            "N[2] -> O, M[2] -> Q",
+        ))
+        .unwrap();
+        let fact = |rel: &str, args: &[&str]| Fact::from_names(rel, args);
+        let mut db = Instance::new(s.clone());
+        let units = 32;
+        for i in 0..units {
+            let (y, w) = (format!("y{i}"), format!("w{i}"));
+            for f in [
+                fact("N", &["c", &y]),
+                fact("O", &[&y]),
+                fact("M", &[&y, &w]),
+                fact("Q", &[&w]),
+                fact("P", &[&w]),
+            ] {
+                db.insert(f).unwrap();
+            }
+        }
+        let mut session = solver.incremental();
+        assert!(session.solve(&db).is_certain());
+
+        // Each round links or unlinks an existing unit, links a brand-new
+        // unit and unlinks the one before it (so rows depart for good),
+        // toggles a P fact, and churns fresh M/Q/O facts no row reads.
+        for i in 0..10_000usize {
+            let mut delta = Delta::new();
+            let unit = fact("N", &["c", &format!("y{}", i % units)]);
+            if db.contains(&unit) {
+                delta.remove(unit);
+            } else {
+                delta.insert(unit);
+            }
+            let (y, w) = (format!("fy{i}"), format!("fw{i}"));
+            match i % 4 {
+                0 => {
+                    for f in [
+                        fact("N", &["c", &y]),
+                        fact("O", &[&y]),
+                        fact("M", &[&y, &w]),
+                        fact("Q", &[&w]),
+                        fact("P", &[&w]),
+                    ] {
+                        delta.insert(f);
+                    }
+                }
+                1 => {
+                    delta.remove(fact("N", &["c", &format!("fy{}", i - 1)]));
+                }
+                2 => {
+                    let p = fact("P", &[&format!("w{}", i % units)]);
+                    if db.contains(&p) {
+                        delta.remove(p);
+                    } else {
+                        delta.insert(p);
+                    }
+                }
+                _ => {
+                    delta.insert(fact("M", &[&y, &w]));
+                    delta.insert(fact("Q", &[&w]));
+                    delta.insert(fact("O", &[&y]));
+                }
+            }
+            let v = session.reanswer(&mut db, &delta).unwrap();
+            assert!(
+                matches!(v.provenance.delta, Some(DeltaOutcome::Localized { .. })),
+                "round {i}: {:?}",
+                v.provenance.delta
+            );
+            if i % 1000 == 0 {
+                assert_eq!(v.as_bool(), solver.solve(&db).as_bool(), "round {i}");
+            }
+        }
+        assert_eq!(
+            session.last_verdict().unwrap().as_bool(),
+            solver.solve(&db).as_bool()
+        );
+
+        let block = session.state.as_ref().unwrap().block.as_ref().unwrap();
+        let (tracked, indexed) = block.footprint();
+        let live: BTreeSet<Vec<Cst>> = db
+            .block(RelName::new("N"), &[Cst::new("c")])
+            .into_iter()
+            .map(|f| f.args.to_vec())
+            .collect();
+        let tracked: BTreeSet<Vec<Cst>> = tracked.into_iter().map(<[Cst]>::to_vec).collect();
+        assert_eq!(tracked, live, "tracked rows are exactly the live block");
+        assert!(
+            indexed.iter().all(|r| live.contains(*r)),
+            "the dependency index names a departed row"
         );
     }
 
@@ -1603,7 +1711,7 @@ mod tests {
         assert_eq!(db.len(), 3);
 
         // The session state survives the rejected delta: the next good
-        // delta still localizes against the cached residuals.
+        // delta still localizes against the maintained rows.
         let mut good = Delta::new();
         good.insert(parse_fact("N(c,b)").unwrap());
         let v = session.reanswer(&mut db, &good).unwrap();

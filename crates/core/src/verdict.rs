@@ -101,13 +101,14 @@ pub enum DeltaOutcome {
     /// against the statically inferred read-set, which is block-precise on
     /// the compiled FO route — so the prior verdict was reused outright.
     Unaffected,
-    /// The delta was localized to the blocks it touches: `reused` residual
-    /// verdicts were taken from the session cache, `evaluated` were
-    /// (re)computed.
+    /// The plan's answer was maintained row by row over its one ground-key
+    /// Lemma 45 block: the delta re-evaluated the `evaluated` rows it added
+    /// to the block or whose recorded probes it touched, and the other
+    /// `reused` rows of the block kept their state.
     Localized {
-        /// Block-fact residuals answered from the cache.
+        /// Rows of the block whose state the delta left as it was.
         reused: usize,
-        /// Block-fact residuals evaluated this call.
+        /// Rows of the block evaluated this call.
         evaluated: usize,
     },
     /// The delta was not localizable (or the session had no usable prior

@@ -136,6 +136,14 @@ impl ReadLog {
         self.events.lock().iter().cloned().collect()
     }
 
+    /// The recorded events, sorted, leaving the log empty — so one log can
+    /// record several evaluations one after the other.
+    pub fn take(&self) -> Vec<(RelName, Option<Vec<Cst>>)> {
+        std::mem::take(&mut *self.events.lock())
+            .into_iter()
+            .collect()
+    }
+
     /// The number of distinct recorded events.
     pub fn len(&self) -> usize {
         self.events.lock().len()

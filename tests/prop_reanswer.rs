@@ -6,6 +6,12 @@
 //! recomputed). Traces include remove-then-reinsert round trips, emptied
 //! blocks, active-domain shrink and facts in a relation the problem never
 //! reads.
+//!
+//! A second family runs the nested Lemma 45 shape `N('c',y), M(y,w), Q(w),
+//! P(w), O(y)` that `delta_stream` measures: its traces toggle residual
+//! facts, add fresh ones, empty the `N('c',·)` block and refill it, and
+//! mix redundant ops into each batch, so the session's dependency-tracked
+//! re-evaluation is checked against scratch on every kind of delta.
 
 use cqa::prelude::*;
 use proptest::prelude::*;
@@ -95,6 +101,274 @@ fn check_trace(
     Ok(())
 }
 
+/// The nested Lemma 45 family: the shape `delta_stream` measures, plus a
+/// relation `Z` nothing reads.
+const NESTED_SCHEMA: &str = "N[2,1] M[2,1] Q[1,1] P[1,1] O[1,1] Z[1,1]";
+const NESTED_QUERY: &str = "N('c',y), M(y,w), Q(w), P(w), O(y)";
+const NESTED_FKS: &str = "N[2] -> O, M[2] -> Q";
+const NESTED_RELS: [(&str, usize); 6] =
+    [("N", 2), ("M", 2), ("Q", 1), ("P", 1), ("O", 1), ("Z", 1)];
+
+fn nested_solver() -> (Arc<Schema>, Solver) {
+    let s = Arc::new(parse_schema(NESTED_SCHEMA).unwrap());
+    let problem = Problem::new(
+        parse_query(&s, NESTED_QUERY).unwrap(),
+        parse_fks(&s, NESTED_FKS).unwrap(),
+    )
+    .unwrap();
+    let solver = Solver::new(problem).unwrap();
+    (s, solver)
+}
+
+/// One op of a nested-family batch: `(kind, rel_pick, a, b)`. Kinds 0–1
+/// insert / remove a pool fact (present or not), 2 inserts and removes
+/// the same fact in one batch, 3 removes and reinserts it, 4 inserts a
+/// fact with one fresh value, 5 empties the `N('c',·)` block, 6 links
+/// every pool value into it, and 7–8 toggle one fact of a seed unit's
+/// chain (unit `a`, chain position `rel_pick`).
+type NestedStep = (usize, usize, usize, usize);
+
+/// A nested-family seed instance: linked units `(y, w)` — each the whole
+/// chain `N(c,y) O(y) M(y,w) Q(w) P(w)`, so seeds are often certain and
+/// a single residual toggle can flip them — plus stray `(rel_pick, a, b)`
+/// facts.
+type NestedSeed = (Vec<(usize, usize)>, Vec<(usize, usize, usize)>);
+
+fn arb_nested_trace() -> impl Strategy<Value = (NestedSeed, Vec<Vec<NestedStep>>)> {
+    let unit = (0..POOL.len(), 0..POOL.len());
+    let stray = (0..NESTED_RELS.len(), 0..POOL.len(), 0..POOL.len());
+    let step = (
+        0..9usize,
+        0..NESTED_RELS.len(),
+        0..POOL.len(),
+        0..POOL.len(),
+    );
+    (
+        (
+            proptest::collection::vec(unit, 1..4),
+            proptest::collection::vec(stray, 0..6),
+        ),
+        proptest::collection::vec(proptest::collection::vec(step, 1..5), 1..10),
+    )
+}
+
+/// The chain `N(c,y) O(y) M(y,w) Q(w) P(w)` of a linked unit.
+fn unit_chain(y: &str, w: &str) -> [Fact; 5] {
+    [
+        Fact::from_names("N", &["c", y]),
+        Fact::from_names("O", &[y]),
+        Fact::from_names("M", &[y, w]),
+        Fact::from_names("Q", &[w]),
+        Fact::from_names("P", &[w]),
+    ]
+}
+
+fn nested_fact(rel_pick: usize, values: [&str; 2]) -> Fact {
+    let (rel, arity) = NESTED_RELS[rel_pick % NESTED_RELS.len()];
+    Fact::from_names(rel, &values[..arity])
+}
+
+/// The delta of one batch against the current `db`, whose seed units are
+/// `units`; `fresh` numbers the fresh values.
+fn nested_delta(
+    db: &Instance,
+    units: &[(usize, usize)],
+    steps: &[NestedStep],
+    fresh: &mut usize,
+) -> Delta {
+    let mut delta = Delta::new();
+    for &(kind, rel, a, b) in steps {
+        let fact = nested_fact(rel, [POOL[a], POOL[b]]);
+        match kind {
+            0 => {
+                delta.insert(fact);
+            }
+            1 => {
+                delta.remove(fact);
+            }
+            2 => {
+                delta.insert(fact.clone()).remove(fact);
+            }
+            3 => {
+                delta.remove(fact.clone()).insert(fact);
+            }
+            4 => {
+                *fresh += 1;
+                let name = format!("fresh{fresh}");
+                // The fresh value goes last, so N facts join the 'c' block.
+                let values = if NESTED_RELS[rel].1 == 2 {
+                    [if rel == 0 { "c" } else { POOL[a] }, name.as_str()]
+                } else {
+                    [name.as_str(), name.as_str()]
+                };
+                delta.insert(nested_fact(rel, values));
+            }
+            5 => {
+                for f in db.block(RelName::new("N"), &[Cst::new("c")]) {
+                    delta.remove(f);
+                }
+            }
+            6 => {
+                for v in POOL {
+                    delta.insert(Fact::from_names("N", &["c", v]));
+                }
+            }
+            _ => {
+                let (y, w) = units[a % units.len()];
+                let fact = unit_chain(POOL[y], POOL[w])[rel % 5].clone();
+                if db.contains(&fact) {
+                    delta.remove(fact);
+                } else {
+                    delta.insert(fact);
+                }
+            }
+        }
+    }
+    delta
+}
+
+/// `delta_stream`'s four kinds of delta on a small instance: noise-block
+/// churn reuses the verdict, and `N('c',·)` link toggles, `P` toggles and
+/// fresh `M`/`Q`/`O` facts all localize — none recomputes — while every
+/// verdict matches a scratch solve.
+#[test]
+fn delta_stream_kinds_localize_on_the_nested_shape() {
+    let (s, solver) = nested_solver();
+    let mut db = parse_instance(
+        &s,
+        "N(c,y1) O(y1) M(y1,w1) Q(w1) P(w1) \
+         N(c,y2) O(y2) M(y2,w2) Q(w2) P(w2) M(y2,v2) Q(v2) P(v2) \
+         O(y3) M(y3,w3) Q(w3) \
+         N(d,z1) N(d,z2) O(z1) O(z2)",
+    )
+    .unwrap();
+    let mut session = solver.incremental();
+    assert!(session.solve(&db).is_certain());
+    let fact = |text: &str| parse_fact(text).unwrap();
+    let steps = [
+        // (fact, insert?, expected Localized {reused, evaluated}; None = Unaffected)
+        ("N(d,z3)", true, None),
+        ("N(c,y3)", true, Some((2, 1))), // link a unit that lacks P(w3)
+        ("P(w3)", true, Some((2, 1))),   // repair it: only its row re-evaluates
+        ("P(v2)", false, Some((2, 1))),  // break unit 2 through its second w
+        ("P(v2)", true, Some((2, 1))),
+        ("M(y1,x9)", true, Some((2, 1))), // a second w for unit 1
+        ("M(y1,x9)", false, Some((2, 1))),
+        ("Q(w1)", false, Some((2, 1))),
+        ("Q(w1)", true, Some((2, 1))),
+        ("N(c,y3)", false, Some((2, 0))), // unlink: no evaluation at all
+        ("M(f1,f2)", true, Some((2, 0))),
+        ("Q(f3)", true, Some((2, 0))),
+        ("O(f4)", true, Some((2, 0))),
+        ("O(y1)", false, Some((1, 1))), // unit 1 dangles now
+        ("O(y1)", true, Some((1, 1))),
+        ("N(d,z3)", false, None),
+    ];
+    for (text, insert, expected) in steps {
+        let mut delta = Delta::new();
+        if insert {
+            delta.insert(fact(text));
+        } else {
+            delta.remove(fact(text));
+        }
+        let v = session.reanswer(&mut db, &delta).unwrap();
+        let want = match expected {
+            None => DeltaOutcome::Unaffected,
+            Some((reused, evaluated)) => DeltaOutcome::Localized { reused, evaluated },
+        };
+        assert_eq!(v.provenance.delta, Some(want), "after {delta}");
+        assert_eq!(v.certainty, solver.solve(&db).certainty, "after {delta}");
+    }
+}
+
+/// One side of the block-size shape test: a session over `units` linked
+/// units, a twin instance, and the toggle of unit 0's `N('c',·)` fact.
+struct Toggle<'s> {
+    db: Instance,
+    twin: Instance,
+    session: IncrementalSolver<'s>,
+    deltas: [Delta; 2],
+    /// Best batch times so far: `reanswer`, and the twin's `apply`.
+    best: (u128, u128),
+}
+
+impl<'s> Toggle<'s> {
+    const BATCH: usize = 100;
+
+    fn new(schema: &Arc<Schema>, solver: &'s Solver, units: usize) -> Toggle<'s> {
+        let mut db = Instance::new(schema.clone());
+        for i in 0..units {
+            for fact in unit_chain(&format!("y{i}"), &format!("w{i}")) {
+                db.insert(fact).unwrap();
+            }
+        }
+        let mut session = solver.incremental();
+        assert!(session.solve(&db).is_certain());
+        let toggled = Fact::from_names("N", &["c", "y0"]);
+        let (mut unlink, mut link) = (Delta::new(), Delta::new());
+        unlink.remove(toggled.clone());
+        link.insert(toggled);
+        Toggle {
+            twin: db.clone(),
+            db,
+            session,
+            deltas: [unlink, link],
+            best: (u128::MAX, u128::MAX),
+        }
+    }
+
+    /// Times one batch of toggles each way and keeps the best times.
+    fn round(&mut self) {
+        let start = std::time::Instant::now();
+        for _ in 0..Self::BATCH {
+            for d in &self.deltas {
+                let v = self.session.reanswer(&mut self.db, d).unwrap();
+                assert!(matches!(
+                    v.provenance.delta,
+                    Some(DeltaOutcome::Localized { .. })
+                ));
+            }
+        }
+        let reanswer = start.elapsed().as_nanos();
+        let start = std::time::Instant::now();
+        for _ in 0..Self::BATCH {
+            for d in &self.deltas {
+                self.twin.apply(d).unwrap();
+            }
+        }
+        let apply = start.elapsed().as_nanos();
+        self.best = (self.best.0.min(reanswer), self.best.1.min(apply));
+    }
+
+    /// What the session adds to applying the deltas, in the best rounds.
+    fn session_ns(&self) -> u128 {
+        self.best.0.saturating_sub(self.best.1).max(1)
+    }
+}
+
+/// Re-answering a single-fact `N('c',·)` toggle costs the same at a
+/// 16k-row block as at a 1k-row block: only the toggled row is evaluated
+/// or dropped. `Instance::apply` itself removes a row from its block by
+/// scanning the block's ids, so the test times what the session adds —
+/// `reanswer` minus the same deltas applied to a twin instance. Rounds
+/// alternate between the two sizes and each keeps its best times, so
+/// host speed and load cancel out of the ratio.
+#[test]
+fn block_toggle_reanswer_cost_is_independent_of_block_size() {
+    let (s, solver) = nested_solver();
+    let mut small = Toggle::new(&s, &solver, 1_000);
+    let mut large = Toggle::new(&s, &solver, 16_000);
+    for _ in 0..40 {
+        small.round();
+        large.round();
+    }
+    let (small, large) = (small.session_ns(), large.session_ns());
+    assert!(
+        large <= 2 * small,
+        "toggle at a 16k-row block: {large} ns; at a 1k-row block: {small} ns"
+    );
+}
+
 /// Deterministic witness that the per-block rung is *strictly* stronger
 /// than the rel-level condition it replaced: on §8's query the plan probes
 /// only the `N('c')` block, so deltas confined to `N('d', ·)` — a relation
@@ -152,7 +426,7 @@ proptest! {
     })]
 
     /// FO route (§8's query, plus an unread relation `Z`): the localized
-    /// residual-cache path and both recompute paths all agree with
+    /// per-row maintenance and both recompute paths all agree with
     /// from-scratch answers.
     #[test]
     fn fo_route_reanswer_matches_scratch(trace in arb_trace()) {
@@ -167,6 +441,49 @@ proptest! {
         prop_assert_eq!(solver.route().kind(), RouteKind::Fo);
         let rels = [("N", 2), ("O", 1), ("P", 1), ("Z", 1)];
         check_trace(&s, &solver, &rels, &seed, &batches)?;
+    }
+
+    /// The nested Lemma 45 shape: every batch — residual toggles, fresh
+    /// facts, an emptied and refilled block, redundant and cancelling ops
+    /// — localizes (or is unaffected) and agrees with a scratch solve.
+    #[test]
+    fn nested_route_reanswer_matches_scratch(trace in arb_nested_trace()) {
+        let ((units, strays), batches) = trace;
+        let (s, solver) = nested_solver();
+        let mut db = Instance::new(s.clone());
+        for &(y, w) in &units {
+            for fact in unit_chain(POOL[y], POOL[w]) {
+                db.insert(fact).unwrap();
+            }
+        }
+        for &(rel, a, b) in &strays {
+            db.insert(nested_fact(rel, [POOL[a], POOL[b]])).unwrap();
+        }
+        let mut session = solver.incremental();
+        prop_assert_eq!(session.solve(&db).certainty, solver.solve(&db).certainty);
+        let mut fresh = 0;
+        for batch in &batches {
+            let delta = nested_delta(&db, &units, batch, &mut fresh);
+            let incremental = session.reanswer(&mut db, &delta).unwrap();
+            let scratch = solver.solve(&db);
+            prop_assert_eq!(
+                incremental.certainty,
+                scratch.certainty,
+                "incremental ({:?}) diverged from scratch after {} on {}",
+                incremental.provenance.delta,
+                delta,
+                db
+            );
+            prop_assert!(
+                matches!(
+                    incremental.provenance.delta,
+                    Some(DeltaOutcome::Unaffected | DeltaOutcome::Localized { .. })
+                ),
+                "a localizable plan recomputed: {:?} after {}",
+                incremental.provenance.delta,
+                delta
+            );
+        }
     }
 
     /// Poly-time route (Proposition 16 shape): no localizable plan, so
