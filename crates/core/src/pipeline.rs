@@ -475,7 +475,7 @@ fn apply_step(action: &StepAction, cur: &Instance) -> Instance {
         | StepAction::DropWeak { .. }
         | StepAction::RemoveDD { .. } => cur.clone(),
         StepAction::RemoveOO { fk, relevance_query } => {
-            let mut out = Instance::new(cur.schema().clone());
+            let mut out = cur.empty_like();
             for rel in cur.populated_relations() {
                 if rel == fk.to {
                     continue; // drop the S-relation
@@ -497,7 +497,7 @@ fn apply_step(action: &StepAction, cur: &Instance) -> Instance {
             out
         }
         StepAction::RemoveDO { fk, outgoing } => {
-            let mut out = Instance::new(cur.schema().clone());
+            let mut out = cur.empty_like();
             for rel in cur.populated_relations() {
                 if rel == fk.to {
                     continue; // drop the O-relation
@@ -567,7 +567,7 @@ impl Lemma45Step {
     /// generic residual plan needs a database to recurse on.
     fn rename(&self, db: &Instance, theta: &Valuation) -> Instance {
         let view = InstanceView::new(db);
-        let mut out = Instance::new(db.schema().clone());
+        let mut out = db.empty_like();
         for rel in self.q0.relations() {
             let atom = self.q0.atom(rel).expect("relation of q0");
             let spec: Vec<Term> = atom

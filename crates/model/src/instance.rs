@@ -7,13 +7,21 @@
 //! ([`InstanceIndex`]), so block enumeration — the primitive of every CQA
 //! algorithm — is direct, and point reads are hash probes. Readers that
 //! promise the canonical (sorted) order sort a relation's row ids on demand.
+//!
+//! An instance also holds the [lease](crate::intern) on the names its
+//! parse brought in. Its clones share the lease, and so does every
+//! instance built with [`Instance::empty_like`]: the repairs, oracle
+//! candidates and restrictions made from its rows. A constant read from an
+//! instance is valid while that instance, or one derived from it, lives;
+//! debug builds check that every leased value inserted into an instance is
+//! held by that instance's lease.
 
 use crate::binding::{Binding, CompiledAtom};
 use crate::delta::{Delta, DeltaOp};
 use crate::error::ModelError;
 use crate::fact::Fact;
 use crate::fk::{FkSet, ForeignKey};
-use crate::intern::{sort_by_name, Cst};
+use crate::intern::{sort_by_name, Cst, Lease};
 use crate::schema::{RelName, Schema, Signature};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -43,6 +51,9 @@ pub struct Instance {
     /// `(uid, epoch)` pins one mutation history of one object: equal pairs
     /// guarantee the observer has seen every mutation.
     uid: u64,
+    /// The lease on the names the instance's parse brought in, shared with
+    /// every instance derived from it; `None` when it holds none.
+    lease: Option<Arc<Lease>>,
 }
 
 impl Clone for Instance {
@@ -53,12 +64,15 @@ impl Clone for Instance {
             len: self.len,
             epoch: self.epoch,
             uid: next_uid(),
+            lease: self.lease.clone(),
         }
     }
 }
 
 impl Instance {
-    /// Creates an empty instance.
+    /// Creates an empty instance. It holds no leased names, so it may take
+    /// pinned values only; an instance that takes rows of another instance
+    /// starts from [`Instance::empty_like`].
     pub fn new(schema: Arc<Schema>) -> Instance {
         Instance {
             schema,
@@ -66,7 +80,30 @@ impl Instance {
             len: 0,
             epoch: 0,
             uid: next_uid(),
+            lease: None,
         }
+    }
+
+    /// An empty instance over this one's schema that shares its lease, so
+    /// it may take any value read from this instance (or from one derived
+    /// from it). Every instance built from another's rows starts here.
+    pub fn empty_like(&self) -> Instance {
+        Instance {
+            lease: self.lease.clone(),
+            ..Instance::new(self.schema.clone())
+        }
+    }
+
+    /// Makes this instance also hold `other`'s lease, so it may take values
+    /// read from `other` too (say, through a [`Delta`] computed against
+    /// it).
+    pub fn share_names(&mut self, other: &Instance) {
+        self.lease = Lease::joint(&self.lease, &other.lease);
+    }
+
+    /// Makes this instance hold `lease` (the loader's, once it is built).
+    pub(crate) fn hold(&mut self, lease: Option<Arc<Lease>>) {
+        self.lease = lease;
     }
 
     /// The schema.
@@ -101,13 +138,17 @@ impl Instance {
         Ok(sig)
     }
 
-    /// Inserts a fact; returns `Ok(true)` if it was new.
+    /// Inserts a fact; returns `Ok(true)` if it was new. Each of its values
+    /// must be pinned or held by this instance's lease (checked in debug
+    /// builds).
     pub fn insert(&mut self, fact: Fact) -> Result<bool, ModelError> {
+        Lease::debug_assert_holds(self.lease.as_deref(), &fact);
         self.insert_row(fact.rel, &fact.args)
     }
 
     /// Inserts the fact `rel(row…)` with [`Instance::insert`]'s validation,
-    /// from a borrowed row (the loader's path: no `Fact` is built).
+    /// from a borrowed row (the loader's path: no `Fact` is built, and the
+    /// loader's own lease holds every value).
     pub(crate) fn insert_row(&mut self, rel: RelName, row: &[Cst]) -> Result<bool, ModelError> {
         let sig = self.validate(rel, row.len())?;
         let added = self.store.insert(rel, sig, row);
@@ -364,16 +405,17 @@ impl Instance {
     /// The instance over this schema holding the rows of `self` that pass
     /// `keep`.
     fn filtered(&self, keep: impl Fn(RelName, &[Cst]) -> bool) -> Instance {
-        let mut out = Instance::new(self.schema.clone());
+        let mut out = self.empty_like();
         for (rel, row) in self.rows().filter(|&(rel, row)| keep(rel, row)) {
             out.insert(Fact::new(rel, row)).expect("same schema");
         }
         out
     }
 
-    /// `db ∪ other`.
+    /// `db ∪ other`. It shares the leases of both.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
+        out.share_names(other);
         for (rel, row) in other.rows() {
             out.insert(Fact::new(rel, row)).expect("schemas compatible");
         }
@@ -394,9 +436,12 @@ impl Instance {
             .collect()
     }
 
-    /// Intersection `db ∩ other` as a new instance.
+    /// Intersection `db ∩ other` as a new instance. It shares the leases of
+    /// both, so it may take values read from either.
     pub fn intersection(&self, other: &Instance) -> Instance {
-        self.filtered(|rel, row| other.store.contains(rel, row))
+        let mut out = self.filtered(|rel, row| other.store.contains(rel, row));
+        out.share_names(other);
+        out
     }
 
     /// Whether `self ⊆ other` as fact sets.

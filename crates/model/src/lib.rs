@@ -53,7 +53,7 @@ pub use eval::{
 pub use fact::Fact;
 pub use fk::{FkSet, ForeignKey};
 pub use instance::{Candidates, Instance, InstanceIndex};
-pub use intern::{by_name, sort_by_name, ByName, Cst, Names, Sym, Var};
+pub use intern::{by_name, sort_by_name, symbol_counts, ByName, Cst, Names, Sym, SymbolCounts, Var};
 pub use query::Query;
 pub use schema::{Position, RelName, Schema, Signature};
 pub use term::Term;

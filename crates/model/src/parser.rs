@@ -18,14 +18,15 @@
 //! constants are interned straight into one reused row buffer, and
 //! [`parse_instance`] resolves each relation name against the schema and
 //! writes the row into the instance's store, so a fact costs no allocation
-//! of its own.
+//! of its own. [`parse_instance`] leases the names it brings in to the
+//! instance; every other parser pins them (see [`crate::intern`]).
 
 use crate::atom::Atom;
 use crate::error::ModelError;
 use crate::fact::Fact;
 use crate::fk::{FkSet, ForeignKey};
 use crate::instance::Instance;
-use crate::intern::Cst;
+use crate::intern::{Cst, LeaseBuilder};
 use crate::query::Query;
 use crate::schema::{RelName, Schema};
 use crate::term::Term;
@@ -231,12 +232,16 @@ fn parse_term(tok: Tok<'_>) -> Result<Term, ModelError> {
 }
 
 /// Parses a ground atom's arguments into `row` (cleared first): every term
-/// is a constant, quoted or not.
-fn parse_ground_args(lex: &mut Lexer<'_>, row: &mut Vec<Cst>) -> Result<(), ModelError> {
+/// is a constant, quoted or not, interned by `intern`.
+fn parse_ground_args(
+    lex: &mut Lexer<'_>,
+    row: &mut Vec<Cst>,
+    mut intern: impl FnMut(&str) -> Cst,
+) -> Result<(), ModelError> {
     row.clear();
     parse_args(lex, |tok| match tok {
         Tok::Quoted(s) | Tok::Ident(s) => {
-            row.push(Cst::new(s));
+            row.push(intern(s));
             Ok(())
         }
         other => Err(err(format!("expected a term, got {other:?}"))),
@@ -271,7 +276,7 @@ pub fn parse_fact(input: &str) -> Result<Fact, ModelError> {
     match lex.next()? {
         Tok::Ident(name) => {
             let mut row = Vec::new();
-            parse_ground_args(&mut lex, &mut row)?;
+            parse_ground_args(&mut lex, &mut row, Cst::new)?;
             Ok(Fact::new(RelName::new(name), row))
         }
         other => Err(err(format!("expected a fact, got {other:?}"))),
@@ -283,7 +288,10 @@ pub fn parse_fact(input: &str) -> Result<Fact, ModelError> {
 /// Equivalent to [`parse_fact`] on every fact followed by
 /// [`Instance::insert`], errors included (a malformed fact fails as a parse
 /// error before its relation is checked), but each fact goes straight from
-/// the input into the store.
+/// the input into the store, and the names the interner did not pin yet
+/// are *leased* to the instance rather than pinned: they are freed when the
+/// instance and every instance derived from it are gone (see
+/// [`crate::intern`]).
 pub fn parse_instance(schema: &Arc<Schema>, input: &str) -> Result<Instance, ModelError> {
     // The schema's relations by name, resolved once: a fact's relation is
     // found by comparing its name token, without interning it.
@@ -293,13 +301,14 @@ pub fn parse_instance(schema: &Arc<Schema>, input: &str) -> Result<Instance, Mod
         .collect();
     let mut lex = Lexer::new(input);
     let mut db = Instance::new(schema.clone());
+    let mut lease = LeaseBuilder::new();
     let mut row = Vec::new();
     loop {
         match lex.next()? {
             Tok::Eof => break,
             Tok::Comma => continue,
             Tok::Ident(name) => {
-                parse_ground_args(&mut lex, &mut row)?;
+                parse_ground_args(&mut lex, &mut row, |s| lease.intern(s))?;
                 let Some(&(_, rel)) = rels.iter().find(|(n, _)| **n == *name) else {
                     return Err(ModelError::UnknownRelation(name.to_string()));
                 };
@@ -308,6 +317,7 @@ pub fn parse_instance(schema: &Arc<Schema>, input: &str) -> Result<Instance, Mod
             other => return Err(err(format!("expected a fact, got {other:?}"))),
         }
     }
+    db.hold(lease.finish());
     Ok(db)
 }
 

@@ -7,7 +7,7 @@
 
 use crate::error::ModelError;
 use crate::intern::{by_name, by_name_via_sym, Sym};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -120,6 +120,10 @@ pub struct Schema {
     rels: BTreeMap<RelName, Signature>,
     /// The same relations in name order, for every reader that iterates.
     names: Vec<RelName>,
+    /// The same relations as one shared set: the visible set of every full
+    /// [`InstanceView`](crate::InstanceView), which copies it only when it
+    /// hides a relation.
+    set: Arc<BTreeSet<RelName>>,
 }
 
 impl Schema {
@@ -146,6 +150,7 @@ impl Schema {
             Some(_) => Ok(rel),
             None => {
                 self.rels.insert(rel, sig);
+                Arc::make_mut(&mut self.set).insert(rel);
                 let at = self.names.partition_point(|r| by_name(r, &rel).is_lt());
                 self.names.insert(at, rel);
                 Ok(rel)
@@ -180,6 +185,11 @@ impl Schema {
         self.rels.keys().copied()
     }
 
+    /// All declared relations, as the shared set.
+    pub(crate) fn relation_set(&self) -> &Arc<BTreeSet<RelName>> {
+        &self.set
+    }
+
     /// Number of declared relations.
     pub fn len(&self) -> usize {
         self.rels.len()
@@ -206,6 +216,7 @@ impl Schema {
         let names: Vec<RelName> = self.names.iter().copied().filter(|&r| keep(r)).collect();
         Schema {
             rels: names.iter().map(|r| (*r, self.rels[r])).collect(),
+            set: Arc::new(names.iter().copied().collect()),
             names,
         }
     }

@@ -161,7 +161,9 @@ impl ReadLog {
 #[derive(Clone)]
 pub struct InstanceView<'a> {
     idx: &'a InstanceIndex,
-    visible: BTreeSet<RelName>,
+    /// Shared with the schema until a restriction hides a relation, so
+    /// neither [`InstanceView::new`] nor a clone allocates.
+    visible: Arc<BTreeSet<RelName>>,
     filters: HashMap<RelName, Arc<BlockFilter>>,
     log: Option<Arc<ReadLog>>,
 }
@@ -171,7 +173,7 @@ impl<'a> InstanceView<'a> {
     pub fn new(db: &'a Instance) -> InstanceView<'a> {
         InstanceView {
             idx: db.index(),
-            visible: db.schema().relations().map(|(r, _)| r).collect(),
+            visible: db.schema().relation_set().clone(),
             filters: HashMap::new(),
             log: None,
         }
@@ -204,13 +206,17 @@ impl<'a> InstanceView<'a> {
     /// Restricts the view to the relations of `keep` (intersection with the
     /// currently visible set) — the lazy form of [`Instance::restrict`].
     pub fn restrict(mut self, keep: &BTreeSet<RelName>) -> InstanceView<'a> {
-        self.visible.retain(|r| keep.contains(r));
+        if !self.visible.is_subset(keep) {
+            Arc::make_mut(&mut self.visible).retain(|r| keep.contains(r));
+        }
         self
     }
 
     /// Hides one relation (the deleted target of a Lemma 37/40 step).
     pub fn hide(mut self, rel: RelName) -> InstanceView<'a> {
-        self.visible.remove(&rel);
+        if self.visible.contains(&rel) {
+            Arc::make_mut(&mut self.visible).remove(&rel);
+        }
         self
     }
 
@@ -401,7 +407,7 @@ impl FactSource for InstanceView<'_> {
     }
 
     fn extend_adom(&self, out: &mut BTreeSet<Cst>) {
-        for &rel in &self.visible {
+        for &rel in self.visible.iter() {
             self.note_scan(rel);
             let Some(r) = self.idx.rel(rel) else { continue };
             for row in self.surviving_rows(rel, r) {

@@ -48,7 +48,7 @@ pub fn sampled_satisfaction_ratio(db: &Instance, q: &Query, samples: usize, seed
     let cq = CompiledQuery::new(q);
     let mut hits = 0usize;
     for _ in 0..samples {
-        let mut r = Instance::new(db.schema().clone());
+        let mut r = db.empty_like();
         for facts in &blocks {
             let pick = &facts[rng.gen_range(0..facts.len())];
             r.insert(pick.clone()).expect("db fact");

@@ -182,7 +182,9 @@ mod tests {
         // |db ∖ r| = 1 (S(b,c)), |r ∖ db| = 2 (S(b,1), T(1)).
         assert_eq!(delta.len(), 3);
 
+        // The delta names constants of `repair`, a separate parse.
         let mut patched = db.clone();
+        patched.share_names(&repair);
         let effective = patched.apply(&delta).unwrap();
         assert_eq!(effective, 3);
         assert!(patched.symmetric_difference(&repair).is_empty());

@@ -159,7 +159,7 @@ impl CertaintyOracle {
         inconclusive: &mut Option<String>,
     ) -> Option<Instance> {
         if idx == blocks.len() {
-            let mut base = Instance::new(db.schema().clone());
+            let mut base = db.empty_like();
             for f in chosen.iter() {
                 base.insert(f.clone()).expect("db fact");
             }

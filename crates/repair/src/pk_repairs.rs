@@ -30,7 +30,7 @@ pub(crate) fn visit_pk_repairs<B>(
     db: &Instance,
     mut visit: impl FnMut(&Instance) -> ControlFlow<B>,
 ) -> Option<B> {
-    let mut repair = Instance::new(db.schema().clone());
+    let mut repair = db.empty_like();
     walk(&blocks_of(db), &mut repair, &mut visit).break_value()
 }
 

@@ -1,7 +1,8 @@
 //! The serve-mode metrics registry: request and route distribution
 //! counters, cache hit/miss accounting, and per-backend latency
 //! percentiles — exposed live via the `metrics` request and dumped as JSON
-//! on shutdown.
+//! on shutdown — plus the process's interned-name counts
+//! ([`cqa_model::symbol_counts`]).
 
 use parking_lot::Mutex;
 use serde_json::Value;
@@ -120,7 +121,10 @@ impl MetricsRegistry {
 
     /// The full registry as a JSON value — the `metrics` response body and
     /// the shutdown dump. Per-backend latency is summarized as
-    /// `{count, p50_us, p99_us}` over the ring-buffered samples.
+    /// `{count, p50_us, p99_us}` over the ring-buffered samples, and
+    /// `symbols` counts the interner's `pinned` and `leased` names: leased
+    /// names belong to requests in flight, so between requests the count
+    /// is 0, and pinned names grow only when a plan is built.
     pub fn snapshot(&self) -> Value {
         let c = self.inner.lock();
         let mut root = BTreeMap::new();
@@ -165,6 +169,11 @@ impl MetricsRegistry {
             backends.insert(name.clone(), Value::Object(entry));
         }
         root.insert("latency".to_string(), Value::Object(backends));
+        let names = cqa_model::symbol_counts();
+        let mut symbols = BTreeMap::new();
+        symbols.insert("pinned".to_string(), Value::Number(names.pinned as f64));
+        symbols.insert("leased".to_string(), Value::Number(names.leased as f64));
+        root.insert("symbols".to_string(), Value::Object(symbols));
         Value::Object(root)
     }
 }
@@ -206,6 +215,9 @@ mod tests {
             .and_then(|l| l.get("compiled plan"))
             .unwrap();
         assert_eq!(lat.get("count").and_then(Value::as_u64), Some(4));
+        let symbols = snap.get("symbols").unwrap();
+        assert!(symbols.get("pinned").and_then(Value::as_u64).is_some());
+        assert!(symbols.get("leased").and_then(Value::as_u64).is_some());
         let p50 = lat.get("p50_us").and_then(Value::as_u64).unwrap();
         let p99 = lat.get("p99_us").and_then(Value::as_u64).unwrap();
         assert!((100..=400).contains(&p50));

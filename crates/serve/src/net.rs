@@ -194,7 +194,7 @@ fn handle_connection(service: &Service, conn: Conn) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let reply = match cap {
+        let mut reply = match cap {
             Some(cap) if line.len() > cap && !line.ends_with(b"\n") => {
                 if reader.skip_until(b'\n').is_err() {
                     return;
@@ -212,11 +212,10 @@ fn handle_connection(service: &Service, conn: Conn) {
                 service.handle_line(trimmed)
             }
         };
+        // One write per reply: a client reading lines wakes once.
+        reply.push('\n');
         let conn = reader.get_mut();
-        if conn.write_all(reply.as_bytes()).is_err()
-            || conn.write_all(b"\n").is_err()
-            || conn.flush().is_err()
-        {
+        if conn.write_all(reply.as_bytes()).is_err() || conn.flush().is_err() {
             return;
         }
     }
